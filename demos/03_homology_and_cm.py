@@ -1,8 +1,8 @@
 """Exact homology and the link-vanishing (Cohen-Macaulay) tests.
 
-All ranks are computed by exact elimination: GF(2) by bitmask XOR, GF(p) by
-modular arithmetic, the rationals by fraction-free integer elimination.  The
-projective plane shows why the field matters.
+All ranks are computed by exact elimination: GF(2) by bitmask XOR, GF(p) and
+the rationals by one sparse kernel (mod p, or fraction-free over the
+integers).  The projective plane shows why the field matters.
 """
 
 import shellcert as sc

@@ -49,6 +49,7 @@ EX_INPUT = 2
 EX_UNDECIDED = 3
 
 _CONDITIONS = {"shelling": SHELLING, "weak": WEAK_SHELLING, "sgcd": STRONG_GCD}
+_FIELD_HELP = "gf2, gf<p> for a prime p < 2**31, or q (repeatable)"
 
 
 def _load(args) -> Complex:
@@ -255,22 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("homology", help="reduced homology ranks")
-    p.add_argument("--field", action="append", help="gf2, gf<p> or q (repeatable)")
+    p.add_argument("--field", action="append", help=_FIELD_HELP)
     _add_input_options(p)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("cm", help="Cohen-Macaulay test (link vanishing)")
-    p.add_argument("--field", action="append", help="gf2, gf<p> or q (repeatable)")
+    p.add_argument("--field", action="append", help=_FIELD_HELP)
     _add_input_options(p)
     p.set_defaults(func=cmd_cm)
 
     p = sub.add_parser("scm", help="sequentially Cohen-Macaulay test (pure skeleta)")
-    p.add_argument("--field", action="append", help="gf2, gf<p> or q (repeatable)")
+    p.add_argument("--field", action="append", help=_FIELD_HELP)
     _add_input_options(p)
     p.set_defaults(func=cmd_scm)
 
     p = sub.add_parser("table", help="the four-condition fact table with provenance")
-    p.add_argument("--field", action="append", help="gf2, gf<p> or q (repeatable)")
+    p.add_argument("--field", action="append", help=_FIELD_HELP)
     _add_input_options(p)
     p.set_defaults(func=cmd_table)
 

@@ -1,10 +1,11 @@
 """Exact reduced simplicial homology and the link-vanishing test for
 Cohen-Macaulayness.
 
-Ranks are computed from boundary matrices by exact elimination only: bitmask
-XOR elimination over GF(2), modular elimination over GF(p), and fraction-free
-integer elimination (rows rescaled by their gcd) over the rationals.  No
-floating point anywhere.
+Ranks are computed from boundary matrices by exact elimination only.  Each
+face gives one sparse boundary row.  Over GF(2) the row is packed into a
+bitmask and reduced by XOR (``rank_gf2``); over GF(p) and the rationals one
+sparse kernel (``rank_sparse``) reduces it by cross-multiples, mod p or
+divided by the gcd of its entries.  No floating point anywhere.
 
 The chain complex is *augmented*: the empty face spans the (-1)-chains, so
 rank(-1) is nonzero only for the complex whose sole face is the empty face.
@@ -57,12 +58,20 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """Coefficient field: GF(p) for a prime p, or the rationals (p is None)."""
+    """Coefficient field: GF(p) for a prime p < 2**31, or the rationals (p is None).
+
+    Primality is tested by trial division; the bound keeps that under about
+    46k steps, so a huge characteristic is rejected at once instead of hanging.
+    """
 
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= 2**31:
+            raise InputError("characteristic must be below 2**31, got %r" % (self.p,))
+        if not _is_prime(self.p):
             raise InputError("characteristic must be prime, got %r" % (self.p,))
 
     @classmethod
@@ -78,12 +87,13 @@ class Field:
         t = text.strip().lower()
         if t in ("q", "qq", "rational", "rationals"):
             return cls(None)
-        if t.startswith("gf"):
-            try:
-                return cls(int(t[2:]))
-            except ValueError:
-                pass
-        raise InputError("unrecognized field %r (expected gf<p> or q)" % text)
+        try:
+            p = int(t[2:]) if t.startswith("gf") else None
+        except ValueError:
+            p = None
+        if p is None:
+            raise InputError("unrecognized field %r (expected gf<p> or q)" % text)
+        return cls(p)
 
     def __str__(self):
         return "Q" if self.p is None else "GF(%d)" % self.p
@@ -110,110 +120,55 @@ def rank_gf2(vectors: Sequence[int]) -> int:
     return rank
 
 
-def rank_gfp(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) by in-place modular Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        row = m[r]
-        for i in range(r + 1, len(m)):
-            f = m[i][c] % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
-        r += 1
-        rank += 1
-        if r == len(m):
-            break
-    return rank
+def rank_sparse(rows: Sequence[dict], p: Optional[int]) -> int:
+    """Rank of sparse rows ``{column: entry}`` over GF(p), or over Q when p is None.
 
-
-def rank_rational(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix.
-
-    Fraction-free elimination on unbounded integers: each update subtracts a
-    cross-multiple of the pivot row, then the row is divided by its gcd so
-    entries stay small.  Row rescaling never changes the rank.
+    Rows are reduced one at a time against pivots keyed by their leading
+    column, as in ``rank_gf2``.  An update is the cross-multiple
+    ``pv*row - f*pivot``, reduced mod p or divided by the gcd of its entries
+    over Q so they stay small.  Scaling a row by a nonzero scalar never changes
+    the rank, so no pivot is normalised and no inverse mod p is needed.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        best = None
-        for i in range(r, len(m)):
-            x = m[i][c]
-            if x and (best is None or abs(x) < best):
-                piv, best = i, abs(x)
-                if best == 1:
-                    break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if not f:
-                continue
-            row = [pv * a - f * b for a, b in zip(m[i], prow)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                row = [x // g for x in row]
-            m[i] = row
-        r += 1
-        rank += 1
-        if r == len(m):
-            break
-    return rank
+
+    def normalised(row: dict) -> dict:
+        if p is None:
+            g = gcd(*row.values()) or 1
+            return {c: x // g for c, x in row.items() if x}
+        return {c: x % p for c, x in row.items() if x % p}
+
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = normalised(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            pv, f = piv[lead], row[lead]
+            new = {c: pv * x for c, x in row.items()}
+            for c, y in piv.items():
+                new[c] = new.get(c, 0) - f * y
+            row = normalised(new)
+    return len(pivots)
 
 
 def _boundary_rank(faces_d: Sequence[int], below_index: dict, field: Field) -> int:
     """Rank of the boundary map from d-faces to (d-1)-faces."""
-    if not faces_d:
-        return 0
-    if field.p == 2:
-        vecs = []
-        for F in faces_d:
-            v = 0
-            m = F
-            while m:
-                low = m & -m
-                v |= 1 << below_index[F ^ low]
-                m ^= low
-            vecs.append(v)
-        return rank_gf2(vecs)
-    ncols = len(below_index)
     rows = []
     for F in faces_d:
-        row = [0] * ncols
-        t = 0
+        row = {}
+        sign = 1
         m = F
         while m:
             low = m & -m
-            row[below_index[F ^ low]] = 1 if t % 2 == 0 else -1
-            t += 1
+            row[below_index[F ^ low]] = sign
+            sign = -sign
             m ^= low
         rows.append(row)
-    if field.p is None:
-        return rank_rational(rows)
-    return rank_gfp(rows, field.p)
+    if field.p == 2:
+        return rank_gf2([sum(1 << c for c in row) for row in rows])
+    return rank_sparse(rows, field.p)
 
 
 @dataclass(frozen=True)

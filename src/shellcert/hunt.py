@@ -95,11 +95,15 @@ def hunt_counterexample(seed: int, budget: int, n_vertices: Sequence[int] = (5, 
     """Screen ``budget`` seeded candidates; deterministic for a fixed seed.
 
     Each candidate is the Alexander dual of a random complex restricted to
-    its support.  Every complex in the search space arises this way, and
-    duals of ghost-free complexes have all facet complements of size at least
-    two, so no sample is wasted on the oversized-facet filter.  Hits are
-    reported sorted by their canonical JSON encoding so the output does not
-    depend on sampling order.
+    its support; every complex in the search space arises this way.  Many
+    samples are discarded before screening.  ``random_complex`` can return
+    the full simplex, whose dual is void (``degenerate``).  A random complex
+    with a facet missing one vertex has a dual with that vertex as a ghost;
+    restricted to its support, the dual then has a facet missing at most one
+    vertex (``oversized-facet``).  At seed 1 with budget 500, 174 samples end
+    in ``degenerate`` and 157 in ``oversized-facet``.  Hits are reported
+    sorted by their canonical JSON encoding so the output does not depend on
+    sampling order.
     """
     report = HuntReport(seed=seed, budget=budget)
     sizes = list(n_vertices)

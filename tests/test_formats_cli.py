@@ -3,7 +3,7 @@ import json
 import pytest
 
 import shellcert as sc
-from shellcert.cli import main
+from shellcert.cli import EX_INPUT, main
 from shellcert.formats import parse_complex, to_json_document, to_text
 
 
@@ -144,6 +144,12 @@ class TestCli:
         code, _, err = self.run(
             ["homology", "--fixture", "pentagon", "--field", "gf9"], capsys)
         assert code == 2
+
+    def test_homology_huge_field(self, capsys):
+        code, _, err = self.run(
+            ["homology", "--fixture", "pentagon", "--field", "gf10000000000000000000000013"], capsys)
+        assert code == EX_INPUT
+        assert "below 2**31" in err
 
     def test_cm_scm(self, capsys):
         assert self.run(["cm", "--fixture", "dunce-hat"], capsys)[0] == 0

@@ -83,6 +83,9 @@ class TestHunt:
         # the pipeline actually exercises its stages
         assert report.counts["weak-order-found"] > 0
         assert report.counts["not-sequentially-cm"] > 0
+        # sampling still wastes candidates on the two discard stages
+        assert report.counts["degenerate"] > 0
+        assert report.counts["oversized-facet"] > 0
 
     def test_report_text(self):
         report = hunt_counterexample(2, 20)

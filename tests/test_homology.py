@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 import shellcert as sc
 from shellcert.catalog import dunce_hat, gcd_violator, pentagon_circle, projective_plane
 from shellcert.complexes import VertexSet
-from shellcert.homology import rank_gf2, rank_gfp, rank_rational
+from shellcert.homology import rank_gf2, rank_sparse
 
 from conftest import facet_sets, seeded_complexes
 from oracles import brute_reduced_homology, euler_from_faces, rref_rank
@@ -27,22 +28,40 @@ class TestFieldSpec:
         with pytest.raises(sc.InputError):
             sc.Field.parse("gf9")
 
+    def test_huge_characteristic_rejected_quickly(self):
+        # trial division of a 26-digit number would not finish; the bound answers at once
+        start = time.perf_counter()
+        with pytest.raises(sc.InputError, match="below 2"):
+            sc.Field.gf(10**25 + 13)
+        assert time.perf_counter() - start < 1.0
+        assert sc.Field.gf(2**31 - 1).p == 2**31 - 1
+
     def test_str(self):
         assert str(sc.GF2) == "GF(2)"
         assert str(sc.QQ) == "Q"
 
 
+def sparse(rows):
+    """Dense rows as ``{column: entry}`` dicts, zeros kept for the kernel to drop."""
+    return [dict(enumerate(r)) for r in rows]
+
+
 class TestRanks:
     def test_known_small_matrix(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert rank_rational(rows) == 2
-        assert rank_gfp(rows, 5) == 2
+        assert rank_sparse(sparse(rows), None) == 2
+        assert rank_sparse(sparse(rows), 5) == 2
         assert rref_rank(rows) == 2
 
     def test_rank_differs_by_characteristic(self):
         rows = [[2, 0], [0, 1]]
-        assert rank_rational(rows) == 2
-        assert rank_gfp(rows, 2) == 1
+        assert rank_sparse(sparse(rows), None) == 2
+        assert rank_sparse(sparse(rows), 2) == 1
+        assert rank_sparse(sparse([[3]]), None) == 1
+        assert rank_sparse(sparse([[3]]), 3) == 0
+        for p in (None, 2, 3):
+            assert rank_sparse([], p) == 0
+            assert rank_sparse([{}, {0: 0, 1: 0}], p) == 0
 
     def test_against_oracle_on_random_matrices(self):
         rng = random.Random(99)
@@ -50,9 +69,9 @@ class TestRanks:
             m = rng.randint(1, 12)
             n = rng.randint(1, 12)
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-            assert rank_rational(rows) == rref_rank(rows)
+            assert rank_sparse(sparse(rows), None) == rref_rank(rows)
             for p in (2, 3, 7):
-                assert rank_gfp(rows, p) == rref_rank(rows, p)
+                assert rank_sparse(sparse(rows), p) == rref_rank(rows, p)
             cols_gf2 = []
             for j in range(n):
                 v = 0
@@ -66,8 +85,8 @@ class TestRanks:
         rng = random.Random(4)
         for _ in range(3):
             rows = [[rng.randint(-2, 2) for _ in range(60)] for _ in range(50)]
-            assert rank_rational(rows) == rref_rank(rows)
-            assert rank_gfp(rows, 2) == rref_rank(rows, 2)
+            assert rank_sparse(sparse(rows), None) == rref_rank(rows)
+            assert rank_sparse(sparse(rows), 2) == rref_rank(rows, 2)
 
 
 class TestReducedHomology:
@@ -105,14 +124,16 @@ class TestReducedHomology:
         p = projective_plane()
         prof2 = sc.reduced_homology(p, sc.GF2)
         profq = sc.reduced_homology(p, sc.QQ)
+        prof3 = sc.reduced_homology(p, sc.Field.gf(3))
         assert (prof2.rank(1), prof2.rank(2)) == (1, 1)
         assert (profq.rank(1), profq.rank(2)) == (0, 0)
+        assert prof3.ranks == profq.ranks
 
     def test_matches_brute_force_oracle(self):
         for c in seeded_complexes(40, seed=616, n_range=(2, 6)):
             if c.is_void:
                 continue
-            for f, p in ((sc.GF2, 2), (sc.QQ, None)):
+            for f, p in ((sc.GF2, 2), (sc.Field.gf(3), 3), (sc.QQ, None)):
                 prof = sc.reduced_homology(c, f)
                 expected = brute_reduced_homology(c.universe.labels, facet_sets(c), p)
                 assert dict(prof.ranks) == expected

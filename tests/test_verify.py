@@ -8,6 +8,9 @@ def test_all_claims_pass():
     failures = [r for r in results if not r.passed]
     assert failures == []
     assert len(results) >= 15
+    # one fact-table claim per catalog.CLAIMS row, in its order
+    fact_rows = [r.name.split(":")[0] for r in results if ": fact table is" in r.name]
+    assert fact_rows == list(catalog.CLAIMS)
 
 
 def test_reversed_nonface_order_reports_witness():
