@@ -6,14 +6,16 @@ a bundled catalog complex.
 
 Exit codes: 0 the property holds / verification passed, 1 the property fails
 or a counterexample was found, 2 input error, 3 undecided (search threshold
-exceeded).  The ``SHELLCERT_MAX_FACETS`` environment variable overrides the
-exact-search threshold.
+exceeded), 4 internal error (a bug, never an answer).  The
+``SHELLCERT_MAX_FACETS`` environment variable overrides the exact-search
+threshold.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import catalog
 from .complexes import (
@@ -47,6 +49,7 @@ EX_OK = 0
 EX_FAIL = 1
 EX_INPUT = 2
 EX_UNDECIDED = 3
+EX_INTERNAL = 4
 
 _CONDITIONS = {"shelling": SHELLING, "weak": WEAK_SHELLING, "sgcd": STRONG_GCD}
 _FIELD_HELP = "gf2, gf<p> for a prime p < 2**31, or q (repeatable)"
@@ -305,6 +308,10 @@ def main(argv=None) -> int:
     except Undecided as e:
         print("undecided: %s" % e, file=sys.stderr)
         return EX_UNDECIDED
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

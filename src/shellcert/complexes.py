@@ -220,8 +220,13 @@ def alexander_dual(c: Complex) -> Complex:
     full simplex is the void complex and vice versa, which keeps the operation
     total and an involution.
     """
-    full = c.universe.full_mask
-    return Complex(c.universe, _canonical(full ^ m for m in minimal_nonfaces(c)))
+    return _dual_from_nonfaces(c.universe, minimal_nonfaces(c))
+
+
+def _dual_from_nonfaces(universe: VertexSet, nonfaces: Iterable[int]) -> Complex:
+    """The dual complex whose facets complement the given minimal non-faces."""
+    full = universe.full_mask
+    return Complex(universe, _canonical(full ^ m for m in nonfaces))
 
 
 def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
@@ -277,7 +282,11 @@ def pure_skeleton(c: Complex, i: int) -> Complex:
 
 def is_flag(c: Complex) -> bool:
     """True iff every minimal non-face has exactly two elements (vacuous for the full simplex)."""
-    return all(m.bit_count() == 2 for m in minimal_nonfaces(c))
+    return _flag_from_nonfaces(minimal_nonfaces(c))
+
+
+def _flag_from_nonfaces(nonfaces: Iterable[int]) -> bool:
+    return all(m.bit_count() == 2 for m in nonfaces)
 
 
 @lru_cache(maxsize=4096)

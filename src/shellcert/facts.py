@@ -25,9 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .complexes import Complex, alexander_dual, is_flag, restrict_to_support
+from .complexes import (
+    Complex,
+    _dual_from_nonfaces,
+    _flag_from_nonfaces,
+    minimal_nonfaces,
+    restrict_to_support,
+)
 from .homology import DEFAULT_FIELDS, Field, is_sequentially_cm
-from .orders import Undecided, find_shelling_order, find_strong_gcd_order
+from .orders import Undecided, _strong_gcd_via_dual, find_shelling_order
 
 __all__ = [
     "TRUE",
@@ -157,10 +163,12 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
     the Stanley-Reisner ideal and do not change the quotient ring.  When the
     per-field verdicts disagree the slot stays undecided and the note records
     the split.  Over-threshold searches leave their slot unknown rather than
-    guessing.
+    guessing.  The minimal non-faces are computed once; the flag bit, the
+    dual and the strong gcd search all derive from them.
     """
-    table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
-    dual = alexander_dual(c)
+    nonfaces = minimal_nonfaces(c)
+    table = FactTable(c, flag=_flag_from_nonfaces(nonfaces), ghost_free=not c.has_ghost_vertices)
+    dual = _dual_from_nonfaces(c.universe, nonfaces)
 
     try:
         cert = find_shelling_order(dual, max_facets=max_facets)
@@ -169,7 +177,7 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
         table.slots["dual_shellable"].note = "undecided: %s" % e
 
     try:
-        cert = find_strong_gcd_order(c, max_facets=max_facets)
+        cert = _strong_gcd_via_dual(c, dual, max_facets, None)
         table._set("strong_gcd", TRUE if cert else FALSE, "computed")
     except Undecided as e:
         table.slots["strong_gcd"].note = "undecided: %s" % e

@@ -10,10 +10,28 @@ Three linear-order conditions are checked and decided here:
 * a *strong gcd-order* on minimal non-faces: every disjoint pair is filled by
   a non-face placed after the first of the two, inside their union.
 
-Existence searches run as depth-first search over subsets of placed facets.
-That is sound because admissibility of appending a facet depends only on the
-**set** of facets already placed, never on their order, so a memo of dead
-prefix-sets turns the factorial search into one over at most 2^r states.
+Existence searches run in one iterative engine, ``_search_order``: a
+depth-first search over subsets of placed facets with an explicit stack, so
+depth is not limited by Python's recursion limit.  That is sound because
+admissibility of appending a facet depends only on the **set** of facets
+already placed, never on their order, so a memo of dead prefix-sets turns the
+factorial search into one over at most 2^r states.  At each state the
+condition returns the bitmask of facets to branch on.  Both conditions build
+their tables from per-vertex incidence masks (``contain[v]``, the facets
+containing v), so every table entry is an AND of a few such masks.
+
+The weak condition adds two exact rules.  Write sigma(i, j) for the possible
+savers of a full-union pair, the facets k other than i, j with
+F_i & F_j inside F_k.
+
+* Refutation: if some full-union pair has an empty sigma, no weak shelling
+  order exists, since whichever of the two comes later has no saver.
+* Free facet: a facet x whose every full-union partner l already has a saver
+  from sigma(x, l) in the placed set is appended without branching.  If any
+  completion exists, moving x to its front is one too: x is admissible, since
+  its placed partners are saved, and every later facet's prefix only gains x,
+  while each pair {x, l} is already saved.
+
 Strong gcd-orders are decided through the dual complex: an order of the
 minimal non-faces is a strong gcd-order exactly when the reversed complement
 order is a weak shelling order of the dual, and the weak condition is
@@ -29,6 +47,7 @@ from typing import Optional, Sequence, Union
 from .complexes import (
     Complex,
     InputError,
+    _bit_indices,
     alexander_dual,
     intersection_with_prefix,
     minimal_nonfaces,
@@ -193,118 +212,166 @@ def _resolve_threshold(max_facets: Optional[int]) -> int:
     return DEFAULT_MAX_EXACT_FACETS
 
 
-def _subset_dfs(r: int, admissible, budget: Optional[int]):
-    """Depth-first search over subsets of placed items.
+def _incidence(facets: Sequence[int], full: int) -> list:
+    """contain[v]: the index mask of the facets that contain vertex v."""
+    contain = [0] * full.bit_length()
+    for i, F in enumerate(facets):
+        for v in _bit_indices(F):
+            contain[v] |= 1 << i
+    return contain
 
-    Candidates are tried in index order, so the first completed order is
-    deterministic.  Returns the order as a list of indices, None when the
-    whole reachable region was exhausted, or raises Undecided when a budget
-    was given and ran out.
+
+def _search_order(r: int, moves, budget: Optional[int]):
+    """Iterative depth-first search over prefix-sets of r items.
+
+    ``moves(state, added, parent)`` returns the index mask of the items to
+    branch on after the prefix-set ``state``, which item bit ``added`` has
+    just joined; ``parent`` is what it returned for ``state ^ added``.  At the
+    root all three are 0.  Branches are tried in index order, so the first
+    completed order is deterministic.  Returns the order as a list of
+    indices, None when the whole reachable region was exhausted, or raises
+    Undecided when a budget was given and ran out.
     """
     goal = (1 << r) - 1
     dead: set[int] = set()
+    placed: list[int] = []   # item bits in the order they were appended
+    given: list[int] = []    # per depth: the mask moves() returned
+    pending: list[int] = []  # per depth: the part of it not tried yet
+    state = added = mask = 0
     visited = 0
-    order: list[int] = []
-
-    def rec(state: int) -> bool:
-        nonlocal visited
-        if state == goal:
-            return True
-        if state in dead:
-            return False
+    while state != goal:
         visited += 1
         if budget is not None and visited > budget:
             raise Undecided("search budget of %d states exhausted" % budget)
-        for f in range(r):
-            bit = 1 << f
-            if state & bit or not admissible(state, f):
-                continue
-            order.append(f)
-            if rec(state | bit):
-                return True
-            order.pop()
-        dead.add(state)
-        return False
+        mask = moves(state, added, mask)
+        given.append(mask)
+        pending.append(mask)
+        while True:
+            todo = pending[-1]
+            while todo:
+                added = todo & -todo
+                todo ^= added
+                if state | added not in dead:
+                    break
+            else:
+                added = 0
+            if added:
+                pending[-1] = todo
+                placed.append(added)
+                state |= added
+                break
+            dead.add(state)
+            given.pop()
+            pending.pop()
+            if not placed:
+                return None
+            state ^= placed.pop()
+            mask = given[-1]
+    return [bit.bit_length() - 1 for bit in placed]
 
-    return order if rec(0) else None
 
+def _shelling_moves(facets: Sequence[int], full: int):
+    """The shelling condition as a moves function for ``_search_order``.
 
-def _shelling_admissibility(facets: Sequence[int]):
-    """Closure testing whether facet f may be appended after prefix-set S.
+    Appending F after a nonempty prefix-set S is allowed iff every maximal
+    old-new intersection is a ridge of F.  Let W be the vertices v of F whose
+    ridge F \\ {v} lies in a placed facet; then the condition says no placed
+    facet contains all of W.  With single[f][v] the facets containing
+    F \\ {v} but not v, both tests are a few word operations per vertex.
 
-    Appending F requires every maximal old-new intersection to have exactly
-    one vertex of F missing.  Writing D_i = F \\ F_i, that is: each placed i
-    must have D_i meet the witness set W = union of the singleton D_k over
-    placed k.  Both sides reduce to precomputed per-vertex index masks, so a
-    single test costs O(|F|) word operations.
+    Past the first step, adding x changes W, and what contains it, only for
+    facets that meet x, so a child's mask is its parent's outside
+    ``touch[x]`` plus a recheck inside.  When the parent state is empty
+    (``state == added``) every unplaced facet is checked.
     """
     r = len(facets)
-    single = []  # single[f][v_bit] -> index mask of i with F_f \ F_i == {v}
-    covers = []  # covers[f][v_bit] -> index mask of i with v missing from F_i
-    for f in range(r):
-        T = facets[f]
-        sing: dict[int, int] = {}
-        cov: dict[int, int] = {}
-        for i in range(r):
-            if i == f:
-                continue
-            D = T & ~facets[i]
-            if D.bit_count() == 1:
-                sing[D] = sing.get(D, 0) | (1 << i)
-            m = D
-            while m:
-                low = m & -m
-                cov[low] = cov.get(low, 0) | (1 << i)
-                m ^= low
-        single.append(sing)
-        covers.append(cov)
+    goal = (1 << r) - 1
+    contain = _incidence(facets, full)
+    rows = []   # rows[f]: (contain[v], single[f][v]) for each vertex v of F_f
+    touch = []  # touch[f]: the facets sharing a vertex with F_f
+    for F in facets:
+        verts = list(_bit_indices(F))
+        row = []
+        t = 0
+        for v in verts:
+            sing = goal & ~contain[v]
+            for u in verts:
+                if u != v:
+                    sing &= contain[u]
+            row.append((contain[v], sing))
+            t |= contain[v]
+        rows.append(tuple(row))
+        touch.append(t)
 
-    def admissible(state: int, f: int) -> bool:
-        if state == 0:
-            return True
-        covered = 0
-        cov = covers[f]
-        for v, idx in single[f].items():
-            if state & idx:
-                covered |= cov[v]
-        return state & ~covered == 0
+    def moves(state: int, added: int, parent: int) -> int:
+        if not state:
+            return goal
+        if state == added:
+            out, check = 0, goal & ~state
+        else:
+            t = touch[added.bit_length() - 1]
+            out, check = parent & ~t, t & ~state
+        while check:
+            low = check & -check
+            check ^= low
+            block = goal
+            for cv, sing in rows[low.bit_length() - 1]:
+                if state & sing:
+                    block &= cv
+            if not state & block:
+                out |= low
+        return out
 
-    return admissible
+    return moves
 
 
-def _weak_admissibility(facets: Sequence[int], full: int):
-    """Closure testing whether facet j may be appended after prefix-set S."""
+def _weak_moves(facets: Sequence[int], full: int):
+    """The weak condition as a moves function, or None when it is refuted.
+
+    For each facet the full-union partners l are listed with their saver
+    sets sigma(x, l), each an AND of incidence masks.  An empty saver set
+    refutes the instance; otherwise a free facet, if any, is the only branch.
+    """
     r = len(facets)
-    fullpair = [0] * r  # index mask of partners unioning to the universe
-    savers: list[dict[int, int]] = [dict() for _ in range(r)]
-    for j in range(r):
-        for i in range(r):
-            if i == j or facets[i] | facets[j] != full:
-                continue
-            fullpair[j] |= 1 << i
-            both = facets[i] & facets[j]
-            m = 0
-            for k in range(r):
-                if k != i and k != j and both & ~facets[k] == 0:
-                    m |= 1 << k
-            savers[j][i] = m
+    goal = (1 << r) - 1
+    contain = _incidence(facets, full)
+    partners = []  # partners[x]: (bit of l, sigma(x, l)) for each full-union partner l
+    for x, F in enumerate(facets):
+        mates = goal
+        for v in _bit_indices(full & ~F):
+            mates &= contain[v]
+        row = []
+        for l in _bit_indices(mates):
+            sav = goal & ~(1 << x | 1 << l)
+            for v in _bit_indices(F & facets[l]):
+                sav &= contain[v]
+            if not sav:
+                return None
+            row.append((1 << l, sav))
+        partners.append(tuple(row))
 
-    def admissible(state: int, j: int) -> bool:
-        partners = state & fullpair[j]
-        if not partners:
-            return True
-        sav = savers[j]
-        while partners:
-            low = partners & -partners
-            if state & sav[low.bit_length() - 1] == 0:
-                return False
-            partners ^= low
-        return True
+    def moves(state: int, added: int, parent: int) -> int:
+        out = 0
+        rest = goal & ~state
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            free = True
+            for lbit, sav in partners[low.bit_length() - 1]:
+                if not state & sav:
+                    if state & lbit:
+                        break
+                    free = False
+            else:
+                if free:
+                    return low
+                out |= low
+        return out
 
-    return admissible
+    return moves
 
 
-def _search(c: Complex, kind: str, admissible_factory, max_facets, node_budget) -> Optional[OrderCertificate]:
+def _search(c: Complex, kind: str, condition, max_facets, node_budget) -> Optional[OrderCertificate]:
     facets = c.facets
     r = len(facets)
     if r <= 1:
@@ -313,8 +380,10 @@ def _search(c: Complex, kind: str, admissible_factory, max_facets, node_budget) 
     budget = None
     if r > threshold:
         budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    admissible = admissible_factory(facets)
-    idx_order = _subset_dfs(r, admissible, budget)
+    moves = condition(facets, c.universe.full_mask)
+    if moves is None:
+        return None
+    idx_order = _search_order(r, moves, budget)
     if idx_order is None:
         return None
     return OrderCertificate(kind, c, tuple(facets[i] for i in idx_order))
@@ -324,10 +393,10 @@ def find_shelling_order(c: Complex, max_facets: Optional[int] = None,
                         node_budget: Optional[int] = None) -> Optional[OrderCertificate]:
     """A shelling order of c, or None when provably none exists.
 
-    Raises Undecided on instances over the exact-search threshold for which
-    the budgeted best-effort search found nothing.
+    None is a proof at any size; over the exact-search threshold the search
+    is budgeted and raises Undecided when the budget runs out first.
     """
-    return _search(c, SHELLING, _shelling_admissibility, max_facets, node_budget)
+    return _search(c, SHELLING, _shelling_moves, max_facets, node_budget)
 
 
 def find_weak_shelling_order(c: Complex, max_facets: Optional[int] = None,
@@ -335,13 +404,13 @@ def find_weak_shelling_order(c: Complex, max_facets: Optional[int] = None,
     """A weak shelling order of c, or None when provably none exists.
 
     When no two facets union to the universe the identity order is returned
-    without a search: every order qualifies.
+    without a search: every order qualifies.  A full-union pair with no
+    possible saver returns None without a search, also over the threshold,
+    where otherwise a budgeted search may raise Undecided.
     """
     if is_trivially_weakly_shellable(c):
         return OrderCertificate(WEAK_SHELLING, c, tuple(c.facets))
-    full = c.universe.full_mask
-    return _search(c, WEAK_SHELLING, lambda fs: _weak_admissibility(fs, full),
-                   max_facets, node_budget)
+    return _search(c, WEAK_SHELLING, _weak_moves, max_facets, node_budget)
 
 
 def find_strong_gcd_order(c: Complex, max_facets: Optional[int] = None,
@@ -351,8 +420,14 @@ def find_strong_gcd_order(c: Complex, max_facets: Optional[int] = None,
     Decided via the dual: reverse a weak shelling order of the dual complex
     and take complements.  Searching the gcd condition directly would not be
     prefix-closed, since the filling index may come after both pair members.
+    None is a proof at any size, as for ``find_weak_shelling_order``.
     """
-    dual = alexander_dual(c)
+    return _strong_gcd_via_dual(c, alexander_dual(c), max_facets, node_budget)
+
+
+def _strong_gcd_via_dual(c: Complex, dual: Complex, max_facets: Optional[int],
+                         node_budget: Optional[int]) -> Optional[OrderCertificate]:
+    """``find_strong_gcd_order`` for a caller that already holds c's dual."""
     weak = find_weak_shelling_order(dual, max_facets=max_facets, node_budget=node_budget)
     if weak is None:
         return None

@@ -6,12 +6,14 @@ Run as:  pytest tests/test_acceptance.py -v -s
 
 import random
 import time
+from functools import reduce
 from itertools import permutations
+from operator import or_
 
 import shellcert as sc
 from shellcert import catalog
 from shellcert.facts import close_under_rules
-from shellcert.orders import _shelling_admissibility
+from shellcert.orders import _shelling_moves
 
 from conftest import facet_sets, seeded_complexes
 from oracles import brute_minimal_nonfaces, euler_from_faces
@@ -57,6 +59,13 @@ def _subset_bfs_has_order(facets, admissible_factory):
                     nxt.append(t)
         frontier = nxt
     return goal in reachable, len(reachable)
+
+
+def _shelling_admissibility(facets):
+    """(state, f) -> may facet f follow prefix-set state, from the engine's condition."""
+    moves = _shelling_moves(facets, reduce(or_, facets))
+    # an empty parent state makes moves() check every unplaced facet
+    return lambda state, f: moves(state, state, 0) >> f & 1
 
 
 def test_criterion_1_first_example_suite():

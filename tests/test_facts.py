@@ -108,6 +108,26 @@ class TestBuildFactTable:
         for name in ("dual_shellable", "strong_gcd"):
             assert t.slots[name].value in (exact.slots[name].value, UNKNOWN)
 
+    def test_nonfaces_computed_once_per_table(self, monkeypatch):
+        import sys
+        from shellcert import catalog, complexes
+
+        original = complexes.minimal_nonfaces
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return original(c)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "shellcert" and getattr(mod, "minimal_nonfaces", None) is original:
+                monkeypatch.setattr(mod, "minimal_nonfaces", counting)
+        for maker in catalog.FIXTURES.values():
+            c = maker()
+            calls.clear()
+            build_fact_table(c)
+            assert calls == [c]
+
     def test_ghosted_complex_skips_ghost_sensitive_rules(self):
         # two edges of a path: dual facets miss a single vertex each, the
         # shelling-to-gcd implication does not apply

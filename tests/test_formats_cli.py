@@ -3,7 +3,7 @@ import json
 import pytest
 
 import shellcert as sc
-from shellcert.cli import EX_INPUT, main
+from shellcert.cli import EX_INPUT, EX_INTERNAL, main
 from shellcert.formats import parse_complex, to_json_document, to_text
 
 
@@ -122,11 +122,22 @@ class TestCli:
 
     def test_find_undecided_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("SHELLCERT_MAX_FACETS", "2")
-        # 21 facets in the dual, budget too small to decide weak shellability
+        # 6 facets in the dual, every full-union pair has a possible saver, and
+        # the budget is too small to decide weak shellability of the dual
         monkeypatch.setattr("shellcert.orders.DEFAULT_NODE_BUDGET", 10)
-        code, out, _ = self.run(["find", "weak", "--fixture", "dunce-hat-dual"], capsys)
+        code, out, _ = self.run(["find", "sgcd", "--fixture", "gcd-violator"], capsys)
         assert code == 3
         assert "undecided" in out
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(c):
+            raise RuntimeError("search state corrupted")
+
+        monkeypatch.setattr("shellcert.cli.find_shelling_order", broken)
+        code, out, err = self.run(["find", "shelling", "--fixture", "pentagon"], capsys)
+        assert code == EX_INTERNAL == 4
+        assert out == ""
+        assert "internal error" in err and "search state corrupted" in err
 
     def test_homology_fields(self, capsys):
         code, out, _ = self.run(

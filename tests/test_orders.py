@@ -1,10 +1,10 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 import shellcert as sc
 from shellcert.complexes import VertexSet
-from shellcert.orders import DEFAULT_MAX_EXACT_FACETS
+from shellcert.orders import DEFAULT_MAX_EXACT_FACETS, _weak_moves
 
 from conftest import seeded_complexes
 
@@ -192,9 +192,14 @@ class TestTrivialWeak:
         assert sc.is_trivially_weakly_shellable(cx(3, [{1, 2, 3}]))
 
 
+def no_weak_order_but_every_pair_has_a_saver():
+    from shellcert.catalog import gcd_violator
+    return sc.alexander_dual(gcd_violator())  # 6 facets; the refutation does not apply
+
+
 class TestThreshold:
     def test_over_threshold_raises_undecided_when_nothing_found(self):
-        c = cx(3, [{1, 2}, {2, 3}, {1, 3}])  # no weak order exists
+        c = no_weak_order_but_every_pair_has_a_saver()
         with pytest.raises(sc.Undecided):
             sc.find_weak_shelling_order(c, max_facets=2, node_budget=1)
 
@@ -204,12 +209,101 @@ class TestThreshold:
         assert cert is not None and sc.check_shelling_order(c, cert)
 
     def test_env_var_override(self, monkeypatch):
-        c = cx(3, [{1, 2}, {2, 3}, {1, 3}])
+        c = no_weak_order_but_every_pair_has_a_saver()
         monkeypatch.setenv("SHELLCERT_MAX_FACETS", "2")
         with pytest.raises(sc.Undecided):
             sc.find_weak_shelling_order(c, node_budget=1)
         monkeypatch.setenv("SHELLCERT_MAX_FACETS", str(DEFAULT_MAX_EXACT_FACETS))
         assert sc.find_weak_shelling_order(c) is None
+
+
+def weak_order_exists_by_reachability(c):
+    """Breadth-first reachability over prefix-sets, using only the checker.
+
+    A prefix-set S is reachable with a witness order o(S); appending f is
+    allowed when o(S) + [f] is a weak shelling order of the subcomplex that
+    S and f generate on the same universe (so full-union pairs are the same).
+    """
+    key = lambda m: (m.bit_count(), m)
+    reach = {frozenset(): ()}
+    frontier = [frozenset()]
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for f in c.facets:
+                T = S | {f}
+                if f in S or T in reach:
+                    continue
+                order = reach[S] + (f,)
+                sub = sc.Complex(c.universe, tuple(sorted(T, key=key)))
+                if sc.check_weak_shelling_order(sub, order).ok:
+                    reach[T] = order
+                    nxt.append(T)
+        frontier = nxt
+    return frozenset(c.facets) in reach
+
+
+# Minimal non-face families whose duals have no weak shelling order although
+# every full-union pair has a possible saver, so the search must run to the end.
+EXHAUSTIVE_NONE = (
+    (7, [[0, 1, 3], [0, 2], [1, 2, 4, 5], [1, 3, 4], [2, 6], [4, 6]]),
+    (9, [[0, 1, 4], [0, 1, 7, 8], [1, 6, 7, 8], [2, 3], [2, 7, 8], [3, 4], [3, 6]]),
+    (8, [[0, 2, 4], [0, 2, 7], [1, 4], [1, 5], [2, 3, 4, 5], [3, 4, 7], [5, 7]]),
+    (8, [[0, 1, 3], [0, 4, 7], [0, 6], [1, 2, 3], [2, 5, 6], [2, 7], [6, 7]]),
+    (7, [[0, 4, 5], [1, 2], [1, 3, 4], [2, 5], [3, 4, 6], [5, 6]]),
+)
+
+
+class TestEngine:
+    def test_k48_one_skeleton_has_a_valid_shelling(self):
+        c = sc.from_facets(VertexSet.of(range(48)), combinations(range(48), 2))
+        assert len(c.facets) == 1128
+        cert = sc.find_shelling_order(c)
+        assert cert is not None and sc.check_shelling_order(c, cert)
+
+    def test_long_path_has_a_valid_shelling(self):
+        c = sc.from_facets(VertexSet.of(range(1501)), [(i, i + 1) for i in range(1500)])
+        assert len(c.facets) == 1500
+        cert = sc.find_shelling_order(c)
+        assert cert is not None and sc.check_shelling_order(c, cert)
+
+    def test_refutation_is_a_proof_over_the_threshold(self):
+        c = cx(3, [{1, 2}, {2, 3}, {1, 3}])  # {12, 23} unions to all; 13 misses 2
+        assert sc.find_weak_shelling_order(c, max_facets=2, node_budget=1) is None
+
+    def test_refutation_settles_the_dunce_hat_dual(self):
+        from shellcert.catalog import dunce_hat
+        d = sc.alexander_dual(dunce_hat())
+        assert _weak_moves(d.facets, d.universe.full_mask) is None
+        assert sc.find_weak_shelling_order(d, max_facets=2, node_budget=1) is None
+
+    def test_weak_search_agrees_with_checker_reachability(self):
+        def searchable(c):
+            return 6 <= len(c.facets) <= 9 and not sc.is_trivially_weakly_shellable(c)
+
+        cases = seeded_complexes(100, seed=1, n_range=(5, 8), accept=searchable)
+        duals = (sc.alexander_dual(c) for c in seeded_complexes(200, seed=3141, n_range=(5, 8)))
+        cases += [sc.restrict_to_support(d) for d in duals if searchable(d)]
+        for n, nonfaces in EXHAUSTIVE_NONE:
+            cases.append(sc.alexander_dual(sc.from_minimal_nonfaces(VertexSet.of(range(n)), nonfaces)))
+        outcomes = set()
+        for c in cases:
+            refuted = _weak_moves(c.facets, c.universe.full_mask) is None
+            cert = sc.find_weak_shelling_order(c)
+            assert (cert is not None) == weak_order_exists_by_reachability(c)
+            if cert is not None:
+                assert sc.check_weak_shelling_order(c, cert)
+            outcomes.add((refuted, cert is not None))
+        assert outcomes == {(True, False), (False, True), (False, False)}
+
+    def test_first_certificate_is_deterministic(self):
+        for c in seeded_complexes(40, seed=4242, n_range=(4, 8)):
+            for find in (sc.find_shelling_order, sc.find_weak_shelling_order,
+                         sc.find_strong_gcd_order):
+                a, b = find(c), find(c)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.sequence == b.sequence
 
 
 class TestAgainstEnumeration:
