@@ -251,12 +251,16 @@ def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
 
 
 def link(c: Complex, face) -> Complex:
-    """Link of a face: all G disjoint from it whose union with it is a face."""
+    """Link of a face: all G disjoint from it whose union with it is a face.
+
+    Its facets are the sets F - face for the facets F containing the face.
+    They already form an antichain (F - face inside G - face gives F inside
+    G), so no absorption pass is needed.
+    """
     f = c.universe.as_mask(face)
     if not c.contains(f):
         raise InputError("link of a non-face: {%s}" % ",".join(map(str, c.universe.members(f))))
-    gens = [F & ~f for F in c.facets if F & f == f]
-    return from_facets(c.universe, gens)
+    return Complex(c.universe, _canonical(F ^ f for F in c.facets if F & f == f))
 
 
 def pure_skeleton(c: Complex, i: int) -> Complex:

@@ -165,6 +165,11 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
     the split.  Over-threshold searches leave their slot unknown rather than
     guessing.  The minimal non-faces are computed once; the flag bit, the
     dual and the strong gcd search all derive from them.
+
+    Q is recorded as sequentially CM without its own sweep once a prime
+    field listed before it has said so: by universal coefficients, link
+    homology that vanishes over GF(p) vanishes over Q (see ``homology``).
+    A failing prime field says nothing about Q, so Q is then computed.
     """
     nonfaces = minimal_nonfaces(c)
     table = FactTable(c, flag=_flag_from_nonfaces(nonfaces), ghost_free=not c.has_ghost_vertices)
@@ -187,8 +192,13 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
     else:
         support_dual = restrict_to_support(dual)
         verdicts = {}
+        prime_passed = False
         for f in fields:
-            verdicts[str(f)] = bool(is_sequentially_cm(support_dual, f))
+            if f.p is None and prime_passed:
+                verdicts[str(f)] = True
+                continue
+            ok = verdicts[str(f)] = bool(is_sequentially_cm(support_dual, f))
+            prime_passed |= ok and f.p is not None
         table.scm_by_field = verdicts
         vals = set(verdicts.values())
         if len(vals) == 1:

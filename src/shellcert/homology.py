@@ -12,6 +12,14 @@ rank(-1) is nonzero only for the complex whose sole face is the empty face.
 Boundary signs come from vertex positions in ascending index order; any
 consistent convention gives the same ranks, fixing one makes the matrices
 reproducible.
+
+Cohen-Macaulayness over Q is decided at about the cost of GF(2).  By the
+universal coefficient theorem, H~_i(K; GF(p)) is H~_i(K; Z) (x) GF(p) plus
+Tor(H~_{i-1}(K; Z), GF(p)), and the first term alone has dimension at least
+the free rank of H~_i(K; Z), which is dim H~_i(K; Q).  So a link with no
+GF(2) homology below its dimension has none over Q either, and the Q sweep
+eliminates over Q only the links where GF(2) finds homology (torsion such as
+RP^2's can make those pass over Q).
 """
 
 from __future__ import annotations
@@ -154,7 +162,21 @@ def rank_sparse(rows: Sequence[dict], p: Optional[int]) -> int:
 
 
 def _boundary_rank(faces_d: Sequence[int], below_index: dict, field: Field) -> int:
-    """Rank of the boundary map from d-faces to (d-1)-faces."""
+    """Rank of the boundary map from d-faces to (d-1)-faces.
+
+    Over GF(2) signs vanish, so each row goes straight into a bitmask.
+    """
+    if field.p == 2:
+        vectors = []
+        for F in faces_d:
+            v = 0
+            m = F
+            while m:
+                low = m & -m
+                v |= 1 << below_index[F ^ low]
+                m ^= low
+            vectors.append(v)
+        return rank_gf2(vectors)
     rows = []
     for F in faces_d:
         row = {}
@@ -166,8 +188,6 @@ def _boundary_rank(faces_d: Sequence[int], below_index: dict, field: Field) -> i
             sign = -sign
             m ^= low
         rows.append(row)
-    if field.p == 2:
-        return rank_gf2([sum(1 << c for c in row) for row in rows])
     return rank_sparse(rows, field.p)
 
 
@@ -240,13 +260,20 @@ def _cm_witness(c: Complex, field: Field) -> Optional[CMWitness]:
     """First face (canonical order) violating link vanishing, or None.
 
     Links of dimension <= 0 cannot violate the condition: the only degree
-    below 0 is -1, and a complex with a vertex has rank 0 there.
+    below 0 is -1, and a complex with a vertex has rank 0 there.  Over Q a
+    link is first checked over GF(2) and skipped if it passes there (see the
+    module docstring), so only links that fail over GF(2) are eliminated
+    over Q; the first failing face, and so the witness, is unchanged.
     """
     for sigma in all_faces(c):
         lk = link(c, sigma)
         d = lk.dim
         if d is VOID_DIM or d < 1:
             continue
+        if field.p is None:
+            prof2 = reduced_homology(lk, GF2)
+            if not any(prof2.rank(i) for i in range(-1, d)):
+                continue
         prof = reduced_homology(lk, field)
         for i in range(-1, d):
             r = prof.rank(i)
@@ -257,7 +284,11 @@ def _cm_witness(c: Complex, field: Field) -> Optional[CMWitness]:
 
 def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     """Link-vanishing test: every face's link (the empty face included) must
-    have zero reduced homology below its own dimension."""
+    have zero reduced homology below its own dimension.
+
+    Over Q each link is screened over GF(2) first and eliminated over Q only
+    when GF(2) finds homology below its dimension; the witness is the one a
+    plain Q sweep would give."""
     if c.is_void:
         raise InputError("Cohen-Macaulayness of the void complex is undefined")
     if c.has_ghost_vertices:
@@ -273,7 +304,9 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
 
     The top skeleton is checked first; it is the cheapest way to fail.  Lower
     skeleta may leave some vertices unused (a vertex facet is in no pure
-    1-skeleton), so each skeleton is tested on its own support.
+    1-skeleton), so each skeleton is tested on its own support.  Over Q the
+    link sweep of each skeleton screens links over GF(2) first, as in
+    ``is_cohen_macaulay``.
     """
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")

@@ -175,6 +175,19 @@ class TestLink:
         with pytest.raises(sc.InputError):
             sc.link(c, {1, 3})
 
+    def test_matches_absorbed_generators_on_samples(self):
+        # link() skips absorption because F - face is already an antichain;
+        # from_facets absorbs, so agreement checks the antichain argument
+        for c in seeded_complexes(60, seed=7411, n_range=(3, 7),
+                                  accept=lambda c: not c.is_void):
+            for sigma in sc.all_faces(c):
+                expected = sc.from_facets(c.universe, [F & ~sigma for F in c.facets if F & sigma == sigma])
+                assert sc.link(c, sigma) == expected
+            nonfaces = sc.minimal_nonfaces(c)
+            if nonfaces:
+                with pytest.raises(sc.InputError):
+                    sc.link(c, nonfaces[0])
+
 
 class TestPureSkeleton:
     def test_top_skeleton_of_mixed_dims(self):

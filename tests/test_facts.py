@@ -128,6 +128,32 @@ class TestBuildFactTable:
             build_fact_table(c)
             assert calls == [c]
 
+    def test_sequential_cm_sweeps_per_table(self, monkeypatch):
+        from shellcert import catalog, facts
+
+        original = facts.is_sequentially_cm
+        calls = []
+
+        def counting(c, field):
+            calls.append(str(field))
+            return original(c, field)
+
+        monkeypatch.setattr(facts, "is_sequentially_cm", counting)
+        # GF(2) says sequentially CM, so Q follows without its own sweep
+        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())
+        assert calls == ["GF(2)"]
+        assert t.scm_by_field == {"GF(2)": True, "Q": True}
+        # GF(2) fails, so Q is computed and the split is kept
+        calls.clear()
+        t = build_fact_table(catalog.FIXTURES["projective-plane"]())
+        assert calls == ["GF(2)", "Q"]
+        assert t.scm_by_field == {"GF(2)": False, "Q": True}
+        # Q listed first has no prime verdict to lean on
+        calls.clear()
+        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"](), fields=(sc.QQ, sc.GF2))
+        assert calls == ["Q", "GF(2)"]
+        assert t.scm_by_field == {"Q": True, "GF(2)": True}
+
     def test_ghosted_complex_skips_ghost_sensitive_rules(self):
         # two edges of a path: dual facets miss a single vertex each, the
         # shelling-to-gcd implication does not apply

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,15 @@ class TestParse:
         c = parse_complex('{"vertices":[1,2,3], "facets":[[1,2],[2,3]]}')
         data = json.loads(to_json_document(c))
         assert data["vertices"] == [1, 2, 3]
+
+
+def test_python_m_runs_from_checkout():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "shellcert", "scm", "--fixture", "projective-plane"],
+                          env=env, cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Q: yes" in proc.stdout
 
 
 class TestCli:

@@ -160,11 +160,12 @@ class TestCohenMacaulay:
 
     def test_witness_replays(self):
         c = cx(6, [{1, 2, 3}, {3, 4, 5}, {4, 5, 6}])
-        rep = sc.is_cohen_macaulay(c, sc.GF2)
-        lk = sc.link(c, rep.witness.face)
-        prof = sc.reduced_homology(lk, sc.GF2)
-        assert rep.witness.degree < lk.dim
-        assert prof.rank(rep.witness.degree) == rep.witness.rank
+        for f in (sc.GF2, sc.QQ):
+            rep = sc.is_cohen_macaulay(c, f)
+            lk = sc.link(c, rep.witness.face)
+            prof = sc.reduced_homology(lk, f)
+            assert rep.witness.degree < lk.dim
+            assert prof.rank(rep.witness.degree) == rep.witness.rank
 
     def test_dunce_hat_is_cm(self):
         d = dunce_hat()
@@ -186,6 +187,74 @@ class TestCohenMacaulay:
     def test_void_rejected(self):
         with pytest.raises(sc.InputError):
             sc.is_cohen_macaulay(cx(2, []), sc.QQ)
+
+
+def cone_over_projective_plane():
+    """RP^2 coned off at a new apex "a"; the apex link is RP^2 itself."""
+    p = projective_plane()
+    u = VertexSet.of(p.universe.labels + ("a",))
+    return sc.from_facets(u, [set(F) | {"a"} for F in p.facet_members()])
+
+
+def oracle_cm_witness(c):
+    """First face whose link has Q homology below its dimension, by brute force.
+
+    Shares only ``link`` and the face order with the library; the ranks come
+    from ``oracles.brute_reduced_homology`` over Q with no GF(2) screen.
+    Returns (face labels, degree, rank) or None.
+    """
+    for sigma in sc.all_faces(c):
+        lk = sc.link(c, sigma)
+        if lk.is_void or lk.dim < 1:
+            continue
+        ranks = brute_reduced_homology(lk.universe.labels, facet_sets(lk), None)
+        for i in range(-1, lk.dim):
+            if ranks.get(i, 0):
+                return c.universe.members(sigma), i, ranks[i]
+    return None
+
+
+def oracle_scm_witness(c):
+    """Pure-skeleton reduction over the brute-force Q sweep, top skeleton first."""
+    for i in [c.dim] + list(range(c.dim)):
+        w = oracle_cm_witness(sc.restrict_to_support(sc.pure_skeleton(c, i)))
+        if w is not None:
+            return w + (i,)
+    return None
+
+
+def q_sweep_inputs():
+    extra = [projective_plane(), cone_over_projective_plane()]
+    return extra + seeded_complexes(40, seed=8675309, n_range=(3, 6),
+                                    accept=lambda c: not c.is_void and not c.has_ghost_vertices)
+
+
+class TestQSweepAgainstOracle:
+    def test_cone_over_projective_plane_passes_q_only(self):
+        # GF(2) finds RP^2 homology in the apex link; Q must look and clear it
+        cone = cone_over_projective_plane()
+        rep2 = sc.is_cohen_macaulay(cone, sc.GF2)
+        assert not rep2.ok and rep2.witness.face == ("a",)
+        assert sc.is_cohen_macaulay(cone, sc.QQ).ok
+        assert sc.is_sequentially_cm(cone, sc.QQ).ok
+
+    def test_cohen_macaulay_matches_oracle(self):
+        for c in q_sweep_inputs():
+            rep = sc.is_cohen_macaulay(c, sc.QQ)
+            expected = oracle_cm_witness(c)
+            assert rep.ok == (expected is None)
+            if expected is not None:
+                w = rep.witness
+                assert (w.face, w.degree, w.rank) == expected
+
+    def test_sequentially_cm_matches_oracle(self):
+        for c in q_sweep_inputs():
+            rep = sc.is_sequentially_cm(c, sc.QQ)
+            expected = oracle_scm_witness(c)
+            assert rep.ok == (expected is None)
+            if expected is not None:
+                w = rep.witness
+                assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
 
 
 class TestSequentiallyCM:
