@@ -14,7 +14,6 @@ from .complexes import (
     VertexSet,
     alexander_dual,
     all_faces,
-    faces_by_dim,
     from_facets,
     from_minimal_nonfaces,
     intersection_with_prefix,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "VOID_DIM", "InputError", "VertexSet", "Complex",
     "from_facets", "from_minimal_nonfaces", "minimal_nonfaces", "alexander_dual",
-    "link", "pure_skeleton", "is_flag", "all_faces", "faces_by_dim",
+    "link", "pure_skeleton", "is_flag", "all_faces",
     "reduced_euler_characteristic", "intersection_with_prefix", "restrict_to_support",
     "SHELLING", "WEAK_SHELLING", "STRONG_GCD",
     "OrderCertificate", "CheckReport", "StepWitness", "PairWitness", "Undecided",

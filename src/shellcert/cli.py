@@ -64,14 +64,14 @@ def _load(args) -> Complex:
         return maker()
     if not getattr(args, "input", None):
         raise InputError("no input: give a file path, '-' for stdin, or --fixture NAME")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
-            raise InputError(str(e))
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(str(e))
     return parse_complex(text)
 
 

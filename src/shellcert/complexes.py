@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +32,6 @@ __all__ = [
     "pure_skeleton",
     "is_flag",
     "all_faces",
-    "faces_by_dim",
     "reduced_euler_characteristic",
     "intersection_with_prefix",
     "restrict_to_support",
@@ -293,42 +292,37 @@ def _flag_from_nonfaces(nonfaces: Iterable[int]) -> bool:
     return all(m.bit_count() == 2 for m in nonfaces)
 
 
-@lru_cache(maxsize=4096)
-def _all_faces_cached(facets: tuple) -> tuple:
+def _faces_by_size(facets: Sequence[int]) -> list:
+    """Faces of the complex generated by the given masks, grouped by size.
+
+    Entry k lists the k-element faces in ascending mask order, so reading the
+    entries in turn gives canonical order.  Every subset of every mask is
+    listed by submask enumeration; nothing is kept after the call.
+    """
     faces: set[int] = set()
-    for F in sorted(facets, key=lambda m: m.bit_count(), reverse=True):
-        if F in faces:
-            continue
+    for F in facets:
         sub = F
         while True:
             faces.add(sub)
-            if sub == 0:
+            if not sub:
                 break
             sub = (sub - 1) & F
-    return tuple(sorted(faces, key=lambda m: (m.bit_count(), m)))
+    layers: list[list[int]] = [[] for _ in range(max(map(int.bit_count, facets), default=-1) + 1)]
+    for m in faces:
+        layers[m.bit_count()].append(m)
+    for layer in layers:
+        layer.sort()
+    return layers
 
 
 def all_faces(c: Complex) -> tuple:
     """Every face of c (including the empty face), canonical order; empty for the void complex."""
-    if c.is_void:
-        return ()
-    return _all_faces_cached(c.facets)
-
-
-def faces_by_dim(c: Complex) -> dict:
-    """Faces grouped by dimension, each group in canonical order."""
-    out: dict[int, list[int]] = {}
-    for f in all_faces(c):
-        out.setdefault(f.bit_count() - 1, []).append(f)
-    return out
+    return tuple(f for layer in _faces_by_size(c.facets) for f in layer)
 
 
 def reduced_euler_characteristic(c: Complex) -> int:
     """Alternating face count including the empty face; 0 for the void complex."""
-    s = 0
-    for f in all_faces(c):
-        s += 1 if f.bit_count() % 2 else -1
-    return s
+    return sum(len(layer) if k % 2 else -len(layer) for k, layer in enumerate(_faces_by_size(c.facets)))
 
 
 def intersection_with_prefix(c: Complex, order: Sequence[int], j: int) -> Complex:

@@ -2,7 +2,7 @@
 
 JSON form: ``{"vertices": [...], "facets": [[...], ...]}`` or the same with
 ``"nonfaces"`` instead of ``"facets"``; exactly one of the two keys must be
-present.
+present.  Labels are JSON integers or strings.
 
 Plain-text form: a first line ``vertices: a b c ...`` followed by one facet
 per line (whitespace-separated labels); a line consisting of the word
@@ -35,13 +35,20 @@ def _parse_json(doc) -> Complex:
     has_n = "nonfaces" in doc
     if has_f == has_n:
         raise InputError("exactly one of 'facets'/'nonfaces' must be present")
+    if not _is_labels(doc["vertices"]):
+        raise InputError("'vertices' must be a list of integers or strings")
     faces = doc["facets"] if has_f else doc["nonfaces"]
-    if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
-        raise InputError("faces must be a list of lists")
+    if not isinstance(faces, list) or not all(_is_labels(f) for f in faces):
+        raise InputError("faces must be lists of integer or string labels")
     extra = set(doc) - {"vertices", "facets", "nonfaces"}
     if extra:
         raise InputError("unrecognized keys: %s" % ", ".join(sorted(extra)))
     return _build(doc["vertices"], faces, has_n)
+
+
+def _is_labels(value) -> bool:
+    """A list of integers or strings; JSON true and false decode to bool, not int."""
+    return isinstance(value, list) and all(type(v) in (int, str) for v in value)
 
 
 def _coerce_labels(tokens):
@@ -84,7 +91,7 @@ def parse_complex(text: str) -> Complex:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # nesting too deep to decode
             raise InputError("invalid JSON: %s" % e)
         return _parse_json(doc)
     return _parse_text(text)

@@ -13,6 +13,16 @@ Boundary signs come from vertex positions in ascending index order; any
 consistent convention gives the same ranks, fixing one makes the matrices
 reproducible.
 
+The link sweeps build no ``Complex`` per link or per skeleton.  The link of a
+face s is generated by F - s over the facets F containing s (its star), so
+its faces are the subsets of those sets.  The pure i-skeleton D^[i] is
+generated by the (i+1)-element faces of D, which ``is_sequentially_cm`` takes
+from its one face list of D, and by Duval's identity
+lk_{D^[i]}(s) = (lk_D s)^[i-|s|] (Electron. J. Combin. 1996) a link in the
+skeleton is generated by G - s over the (i+1)-faces G containing s: the
+skeleton's own star.  Only faces are swept, so a vertex in no face of a
+skeleton plays no part, and no face list is kept after the call.
+
 Cohen-Macaulayness over Q is decided at about the cost of GF(2).  By the
 universal coefficient theorem, H~_i(K; GF(p)) is H~_i(K; Z) (x) GF(p) plus
 Tor(H~_{i-1}(K; Z), GF(p)), and the first term alone has dimension at least
@@ -24,20 +34,11 @@ RP^2's can make those pass over Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import Optional, Sequence
 
-from .complexes import (
-    VOID_DIM,
-    Complex,
-    InputError,
-    all_faces,
-    faces_by_dim,
-    link,
-    pure_skeleton,
-    restrict_to_support,
-)
+from .complexes import Complex, InputError, VertexSet, _faces_by_size
 
 __all__ = [
     "Field",
@@ -216,23 +217,20 @@ class HomologyProfile:
         return "[%s over %s]" % (body, self.field)
 
 
+def _reduced_ranks(layers: Sequence[Sequence[int]], field: Field) -> tuple:
+    """(dimension, rank) pairs from -1 up, for faces grouped by size (entry k: k-faces)."""
+    brank = [0] * (len(layers) + 1)  # brank[k]: rank of the boundary from k-faces
+    for k in range(1, len(layers)):
+        below = {f: j for j, f in enumerate(layers[k - 1])}
+        brank[k] = _boundary_rank(layers[k], below, field)
+    return tuple((k - 1, len(layers[k]) - brank[k] - brank[k + 1]) for k in range(len(layers)))
+
+
 def reduced_homology(c: Complex, field: Field = QQ) -> HomologyProfile:
     """Exact reduced homology ranks of a non-void complex over the given field."""
     if c.is_void:
         raise InputError("reduced homology of the void complex is undefined")
-    groups = faces_by_dim(c)
-    top = c.dim
-    index: dict[int, dict] = {}
-    for d, fs in groups.items():
-        index[d] = {f: i for i, f in enumerate(fs)}
-    brank = {}  # brank[d] = rank of boundary C_d -> C_{d-1}
-    for d in range(0, top + 1):
-        brank[d] = _boundary_rank(groups.get(d, ()), index.get(d - 1, {}), field)
-    ranks = []
-    for d in range(-1, top + 1):
-        nd = len(groups.get(d, ()))
-        ranks.append((d, nd - brank.get(d, 0) - brank.get(d + 1, 0)))
-    return HomologyProfile(field, tuple(ranks))
+    return HomologyProfile(field, _reduced_ranks(_faces_by_size(c.facets), field))
 
 
 @dataclass(frozen=True)
@@ -256,29 +254,29 @@ class CMReport:
         return self.ok
 
 
-def _cm_witness(c: Complex, field: Field) -> Optional[CMWitness]:
-    """First face (canonical order) violating link vanishing, or None.
+def _cm_witness(universe: VertexSet, facets: Sequence[int], field: Field) -> Optional[CMWitness]:
+    """First face (canonical order) of the complex generated by ``facets``
+    whose link has homology below its dimension, or None.
 
+    A link's faces are the subsets of the face's star (module docstring).
     Links of dimension <= 0 cannot violate the condition: the only degree
     below 0 is -1, and a complex with a vertex has rank 0 there.  Over Q a
-    link is first checked over GF(2) and skipped if it passes there (see the
-    module docstring), so only links that fail over GF(2) are eliminated
-    over Q; the first failing face, and so the witness, is unchanged.
+    link is first checked over GF(2) and skipped if it passes there, so only
+    links that fail over GF(2) are eliminated over Q; the first failing face,
+    and so the witness, is unchanged.
     """
-    for sigma in all_faces(c):
-        lk = link(c, sigma)
-        d = lk.dim
-        if d is VOID_DIM or d < 1:
-            continue
-        if field.p is None:
-            prof2 = reduced_homology(lk, GF2)
-            if not any(prof2.rank(i) for i in range(-1, d)):
+    for layer in _faces_by_size(facets):
+        for sigma in layer:
+            star = [F ^ sigma for F in facets if F & sigma == sigma]
+            d = max(map(int.bit_count, star)) - 1
+            if d < 1:
                 continue
-        prof = reduced_homology(lk, field)
-        for i in range(-1, d):
-            r = prof.rank(i)
-            if r:
-                return CMWitness(c.universe.members(sigma), i, r)
+            lk = _faces_by_size(star)
+            if field.p is None and not any(r for i, r in _reduced_ranks(lk, GF2) if i < d):
+                continue
+            for i, r in _reduced_ranks(lk, field):
+                if i < d and r:
+                    return CMWitness(universe.members(sigma), i, r)
     return None
 
 
@@ -294,7 +292,7 @@ def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     if c.has_ghost_vertices:
         ghosts = c.universe.members(c.universe.full_mask ^ c.support)
         return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
-    w = _cm_witness(c, field)
+    w = _cm_witness(c.universe, c.facets, field)
     return CMReport(w is None, field, witness=w)
 
 
@@ -302,24 +300,22 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     """Pure-skeleton reduction: the subcomplex generated by the i-faces must be
     Cohen-Macaulay for every 0 <= i <= dim.
 
-    The top skeleton is checked first; it is the cheapest way to fail.  Lower
-    skeleta may leave some vertices unused (a vertex facet is in no pure
-    1-skeleton), so each skeleton is tested on its own support.  Over Q the
-    link sweep of each skeleton screens links over GF(2) first, as in
-    ``is_cohen_macaulay``.
+    The top skeleton is checked first; it is the cheapest way to fail.  The
+    (i+1)-element faces of c are the facets of skeleton i, and a link in it
+    comes from its star by Duval's identity (see the module docstring).  Only
+    faces are swept, so vertices a skeleton leaves unused (a vertex facet is
+    in no pure 1-skeleton) play no part.  Over Q the link sweep of each
+    skeleton screens links over GF(2) first, as in ``is_cohen_macaulay``.
     """
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")
     if c.has_ghost_vertices:
         ghosts = c.universe.members(c.universe.full_mask ^ c.support)
         return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
+    layers = _faces_by_size(c.facets)
     top = c.dim
-    if top == -1:
-        return CMReport(True, field)
     for i in [top] + list(range(top)):
-        sk = restrict_to_support(pure_skeleton(c, i))
-        w = _cm_witness(sk, field)
+        w = _cm_witness(c.universe, layers[i + 1], field)
         if w is not None:
-            return CMReport(False, field,
-                            witness=CMWitness(w.face, w.degree, w.rank, skeleton_dim=i))
+            return CMReport(False, field, witness=replace(w, skeleton_dim=i))
     return CMReport(True, field)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellcert as sc
 from shellcert.cli import EX_INPUT, EX_INTERNAL, main
 from shellcert.formats import parse_complex, to_json_document, to_text
+
+
+# JSON documents of the right shape but the wrong types inside, or too deep to decode
+MALFORMED_JSON = [
+    pytest.param('{"vertices": 5, "facets": []}', id="vertices-number"),
+    pytest.param('{"vertices": [[1]], "facets": []}', id="vertices-nested-list"),
+    pytest.param('{"vertices": [1,2], "facets": [[[1]]]}', id="face-nested-list"),
+    pytest.param('{"vertices": "ab", "facets": []}', id="vertices-string"),
+    pytest.param('{"vertices": {"a": 1}, "facets": []}', id="vertices-object"),
+    pytest.param('{"vertices": ' + "[" * 100000 + "]" * 100000 + "}", id="nested-100000-deep"),
+]
 
 
 class TestParse:
@@ -40,6 +55,11 @@ class TestParse:
     def test_invalid_json_rejected(self):
         with pytest.raises(sc.InputError):
             parse_complex('{"vertices": [1,2,')
+
+    @pytest.mark.parametrize("doc", MALFORMED_JSON)
+    def test_malformed_json_rejected(self, doc):
+        with pytest.raises(sc.InputError):
+            parse_complex(doc)
 
     def test_text_facet_form(self):
         c = parse_complex("vertices: 1 2 3 4\n1 2 3\n3 4\n")
@@ -217,6 +237,14 @@ class TestCli:
         lines = [ln for ln in out.splitlines() if ln.startswith("[PASS]")]
         assert len(lines) >= 15
 
+    @pytest.mark.parametrize("doc", MALFORMED_JSON)
+    def test_malformed_json_is_input_error(self, doc, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = self.run(["dual", str(path)], capsys)
+        assert code == EX_INPUT
+        assert out == "" and "input error" in err
+
     def test_missing_input_is_input_error(self, capsys):
         code, _, err = self.run(["dual"], capsys)
         assert code == 2
@@ -225,6 +253,67 @@ class TestCli:
         code, _, _ = self.run(["dual", "--fixture", "nope"], capsys)
         assert code == 2
 
+    def test_undecodable_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"vertices: 1 2\n1 \xff\n")
+        code, _, err = self.run(["dual", str(path)], capsys)
+        assert code == EX_INPUT and "input error" in err
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = self.run(["dual", "/nonexistent/path.json"], capsys)
         assert code == 2
+
+
+# Generated documents for the fuzz tests.  Every vertex list has at most six
+# entries, so each example is small and finishes quickly.
+_LABELS = st.one_of(st.integers(-2, 6), st.sampled_from("abcdef"))
+_LABEL_LISTS = st.lists(_LABELS, max_size=6)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+              st.text(max_size=3), _LABELS),
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+_JSON_DOCS = st.one_of(
+    _JSON_VALUES,
+    st.dictionaries(st.sampled_from(["vertices", "facets", "nonfaces", "extra"]),
+                    st.one_of(_LABEL_LISTS, st.lists(_LABEL_LISTS, max_size=5), _JSON_VALUES),
+                    max_size=4),
+).map(json.dumps)
+_TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["a", "b", "x", "1.5", "#", "nonfaces"]))
+_TEXT_DOCS = st.one_of(
+    st.builds(lambda header, switch, lines: "\n".join(
+        ["vertices: " + " ".join(header)] + ["nonfaces"] * switch + [" ".join(ln) for ln in lines]),
+        st.lists(_TOKENS, max_size=6), st.booleans(), st.lists(st.lists(_TOKENS, max_size=4), max_size=5)),
+    # too short to name more than six vertices
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+)
+DOCUMENTS = st.one_of(_JSON_DOCS, _TEXT_DOCS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.filterwarnings("ignore:singleton non-face")
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    def test_parse_returns_complex_or_input_error(self, doc):
+        try:
+            c = parse_complex(doc)
+        except sc.InputError:
+            return
+        assert isinstance(c, sc.Complex)
+        assert c.universe.n <= 6
+
+    @settings(max_examples=150, deadline=None)
+    @given(DOCUMENTS)
+    def test_dual_exits_ok_or_input_error(self, fuzz_dir, doc):
+        path = fuzz_dir / "doc"
+        path.write_text(doc, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dual", str(path)])
+        assert code in (0, EX_INPUT), err.getvalue()

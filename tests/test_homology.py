@@ -196,40 +196,49 @@ def cone_over_projective_plane():
     return sc.from_facets(u, [set(F) | {"a"} for F in p.facet_members()])
 
 
-def oracle_cm_witness(c):
-    """First face whose link has Q homology below its dimension, by brute force.
+def oracle_cm_witness(c, p):
+    """First face whose link has homology below its dimension over GF(p)
+    (over Q when p is None), by brute force.
 
     Shares only ``link`` and the face order with the library; the ranks come
-    from ``oracles.brute_reduced_homology`` over Q with no GF(2) screen.
+    from ``oracles.brute_reduced_homology`` with no GF(2) screen.
     Returns (face labels, degree, rank) or None.
     """
     for sigma in sc.all_faces(c):
         lk = sc.link(c, sigma)
         if lk.is_void or lk.dim < 1:
             continue
-        ranks = brute_reduced_homology(lk.universe.labels, facet_sets(lk), None)
+        ranks = brute_reduced_homology(lk.universe.labels, facet_sets(lk), p)
         for i in range(-1, lk.dim):
             if ranks.get(i, 0):
                 return c.universe.members(sigma), i, ranks[i]
     return None
 
 
-def oracle_scm_witness(c):
-    """Pure-skeleton reduction over the brute-force Q sweep, top skeleton first."""
+def oracle_scm_witness(c, p):
+    """Pure-skeleton reduction over the brute-force sweep, top skeleton first."""
     for i in [c.dim] + list(range(c.dim)):
-        w = oracle_cm_witness(sc.restrict_to_support(sc.pure_skeleton(c, i)))
+        w = oracle_cm_witness(sc.restrict_to_support(sc.pure_skeleton(c, i)), p)
         if w is not None:
             return w + (i,)
     return None
 
 
+ORACLE_FIELDS = ((sc.GF2, 2), (sc.Field.gf(3), 3), (sc.QQ, None))
+
+
 def q_sweep_inputs():
-    extra = [projective_plane(), cone_over_projective_plane()]
+    # in the triangle chain both vertex 3 and vertex 5 have disconnected links;
+    # the witness must be the first in canonical order
+    extra = [projective_plane(), cone_over_projective_plane(),
+             cx(7, [{1, 2, 3}, {3, 4, 5}, {5, 6, 7}])]
     return extra + seeded_complexes(40, seed=8675309, n_range=(3, 6),
                                     accept=lambda c: not c.is_void and not c.has_ghost_vertices)
 
 
 class TestQSweepAgainstOracle:
+    """Link sweeps over GF(2), GF(3) and Q (with its GF(2) screen) against brute force."""
+
     def test_cone_over_projective_plane_passes_q_only(self):
         # GF(2) finds RP^2 homology in the apex link; Q must look and clear it
         cone = cone_over_projective_plane()
@@ -240,21 +249,23 @@ class TestQSweepAgainstOracle:
 
     def test_cohen_macaulay_matches_oracle(self):
         for c in q_sweep_inputs():
-            rep = sc.is_cohen_macaulay(c, sc.QQ)
-            expected = oracle_cm_witness(c)
-            assert rep.ok == (expected is None)
-            if expected is not None:
-                w = rep.witness
-                assert (w.face, w.degree, w.rank) == expected
+            for f, p in ORACLE_FIELDS:
+                rep = sc.is_cohen_macaulay(c, f)
+                expected = oracle_cm_witness(c, p)
+                assert rep.ok == (expected is None)
+                if expected is not None:
+                    w = rep.witness
+                    assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected + (None,)
 
     def test_sequentially_cm_matches_oracle(self):
         for c in q_sweep_inputs():
-            rep = sc.is_sequentially_cm(c, sc.QQ)
-            expected = oracle_scm_witness(c)
-            assert rep.ok == (expected is None)
-            if expected is not None:
-                w = rep.witness
-                assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
+            for f, p in ORACLE_FIELDS:
+                rep = sc.is_sequentially_cm(c, f)
+                expected = oracle_scm_witness(c, p)
+                assert rep.ok == (expected is None)
+                if expected is not None:
+                    w = rep.witness
+                    assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
 
 
 class TestSequentiallyCM:
