@@ -5,10 +5,9 @@ Subcommands operate on a complex document (JSON or plain text, see
 a bundled catalog complex.
 
 Exit codes: 0 the property holds / verification passed, 1 the property fails
-or a counterexample was found, 2 input error, 3 undecided (search threshold
-exceeded), 4 internal error (a bug, never an answer).  The
-``SHELLCERT_MAX_FACETS`` environment variable overrides the exact-search
-threshold.
+or a counterexample was found, 2 input error, 3 undecided (an order search
+ran out of its budget of ``orders.NODE_BUDGET`` states), 4 internal error (a
+bug, never an answer).
 """
 
 from __future__ import annotations

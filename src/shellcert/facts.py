@@ -23,7 +23,7 @@ gcd-order).  For a ghosted complex only the unconditional rule fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import (
     Complex,
@@ -154,17 +154,17 @@ def close_under_rules(table: FactTable):
     return table
 
 
-def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
-                     max_facets: Optional[int] = None) -> FactTable:
+def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> FactTable:
     """Compute the searchable slots, then take the inference closure.
 
     The dual is tested for sequential Cohen-Macaulayness on its support:
     ghost vertices of the dual correspond to generators already present in
     the Stanley-Reisner ideal and do not change the quotient ring.  When the
     per-field verdicts disagree the slot stays undecided and the note records
-    the split.  Over-threshold searches leave their slot unknown rather than
-    guessing.  The minimal non-faces are computed once; the flag bit, the
-    dual and the strong gcd search all derive from them.
+    the split.  A search that runs out of ``orders.NODE_BUDGET`` leaves its
+    slot unknown, with an "undecided" note, rather than guessing.  The
+    minimal non-faces are computed once; the flag bit, the dual and the
+    strong gcd search all derive from them.
 
     Q is recorded as sequentially CM without its own sweep once a prime
     field listed before it has said so: by universal coefficients, link
@@ -176,13 +176,13 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
     dual = _dual_from_nonfaces(c.universe, nonfaces)
 
     try:
-        cert = find_shelling_order(dual, max_facets=max_facets)
+        cert = find_shelling_order(dual)
         table._set("dual_shellable", TRUE if cert else FALSE, "computed")
     except Undecided as e:
         table.slots["dual_shellable"].note = "undecided: %s" % e
 
     try:
-        cert = _strong_gcd_via_dual(c, dual, max_facets, None)
+        cert = _strong_gcd_via_dual(c, dual)
         table._set("strong_gcd", TRUE if cert else FALSE, "computed")
     except Undecided as e:
         table.slots["strong_gcd"].note = "undecided: %s" % e

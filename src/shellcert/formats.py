@@ -6,8 +6,9 @@ present.  Labels are JSON integers or strings.
 
 Plain-text form: a first line ``vertices: a b c ...`` followed by one facet
 per line (whitespace-separated labels); a line consisting of the word
-``nonfaces`` switches the remaining lines to minimal non-face form.  Labels
-that all parse as integers are treated as integers.
+``nonfaces`` switches the remaining lines to minimal non-face form.  When
+every label in the document, on the vertices line and in the faces, parses
+as an integer, all labels are integers; otherwise all are strings.
 """
 
 from __future__ import annotations
@@ -51,37 +52,23 @@ def _is_labels(value) -> bool:
     return isinstance(value, list) and all(type(v) in (int, str) for v in value)
 
 
-def _coerce_labels(tokens):
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        return list(tokens)
-
-
 def _parse_text(text: str) -> Complex:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].lower().startswith("vertices:"):
         raise InputError("first line must be 'vertices: <labels>'")
-    vertices = _coerce_labels(lines[0].split(":", 1)[1].split())
+    vertices = lines[0].split(":", 1)[1].split()
     nonface_form = False
     body = lines[1:]
     if body and body[0].lower() == "nonfaces":
         nonface_form = True
         body = body[1:]
-    all_tokens = [tok for ln in body for tok in ln.split()]
-    as_int = True
+    faces = [ln.split() for ln in body]
+    # one coercion for the whole document, so a label means the same everywhere
     try:
-        [int(t) for t in all_tokens]
+        vertices, faces = [int(t) for t in vertices], [[int(t) for t in f] for f in faces]
     except ValueError:
-        as_int = False
-    faces = []
-    for ln in body:
-        toks = ln.split()
-        faces.append([int(t) for t in toks] if as_int else toks)
-    # labels on the vertices line follow the same coercion as the faces
-    if not as_int and all(isinstance(v, int) for v in vertices):
-        vertices = [str(v) for v in vertices]
+        pass
     return _build(vertices, faces, nonface_form)
 
 

@@ -12,7 +12,7 @@ counters show where the candidates died.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import Complex, alexander_dual, restrict_to_support
 from .formats import to_json_document
@@ -28,7 +28,7 @@ STAGES = (
     "oversized-facet",        # some facet misses at most one vertex
     "trivially-weakly-shellable",
     "weak-order-found",
-    "undecided",              # weak-shellability search over threshold
+    "undecided",              # weak-shellability search ran out of NODE_BUDGET
     "not-sequentially-cm",
     "hit",
 )
@@ -58,8 +58,7 @@ class HuntReport:
         return "\n".join(lines)
 
 
-def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
-                     max_facets: Optional[int] = None) -> str:
+def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> str:
     """Run one complex through the pipeline and name the stage it ends in.
 
     Candidates with a facet missing at most one vertex are discarded first:
@@ -78,7 +77,7 @@ def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
     if is_trivially_weakly_shellable(c):
         return "trivially-weakly-shellable"
     try:
-        cert = find_weak_shelling_order(c, max_facets=max_facets)
+        cert = find_weak_shelling_order(c)
     except Undecided:
         return "undecided"
     if cert is not None:
@@ -90,8 +89,7 @@ def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS,
 
 
 def hunt_counterexample(seed: int, budget: int, n_vertices: Sequence[int] = (5, 6, 7, 8),
-                        fields: Sequence[Field] = DEFAULT_FIELDS,
-                        max_facets: Optional[int] = None) -> HuntReport:
+                        fields: Sequence[Field] = DEFAULT_FIELDS) -> HuntReport:
     """Screen ``budget`` seeded candidates; deterministic for a fixed seed.
 
     Each candidate is the Alexander dual of a random complex restricted to
@@ -112,7 +110,7 @@ def hunt_counterexample(seed: int, budget: int, n_vertices: Sequence[int] = (5, 
         n = sizes[i % len(sizes)]
         density = 0.35 + 0.5 * ((sub % 97) / 97.0)
         c = alexander_dual(restrict_to_support(random_complex(sub, n, density)))
-        stage = screen_candidate(c, fields=fields, max_facets=max_facets)
+        stage = screen_candidate(c, fields=fields)
         report.counts[stage] += 1
         if stage == "hit":
             report.hits.append(restrict_to_support(c))

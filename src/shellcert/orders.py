@@ -15,10 +15,13 @@ depth-first search over subsets of placed facets with an explicit stack, so
 depth is not limited by Python's recursion limit.  That is sound because
 admissibility of appending a facet depends only on the **set** of facets
 already placed, never on their order, so a memo of dead prefix-sets turns the
-factorial search into one over at most 2^r states.  At each state the
-condition returns the bitmask of facets to branch on.  Both conditions build
-their tables from per-vertex incidence masks (``contain[v]``, the facets
-containing v), so every table entry is an AND of a few such masks.
+factorial search into one over at most 2^r states.  Every search, whatever
+its size, visits at most ``NODE_BUDGET`` prefix-sets: a returned order or
+None is exact, and a search that runs out raises ``Undecided``.  At each
+state the condition returns the bitmask of facets to branch on.  Both
+conditions build their tables from per-vertex incidence masks
+(``contain[v]``, the facets containing v), so every table entry is an AND of
+a few such masks.
 
 The weak condition adds two exact rules.  Write sigma(i, j) for the possible
 savers of a full-union pair, the facets k other than i, j with
@@ -40,7 +43,6 @@ prefix-closed while the gcd condition is not.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -57,7 +59,7 @@ __all__ = [
     "SHELLING",
     "WEAK_SHELLING",
     "STRONG_GCD",
-    "DEFAULT_MAX_EXACT_FACETS",
+    "NODE_BUDGET",
     "OrderCertificate",
     "CheckReport",
     "StepWitness",
@@ -76,16 +78,12 @@ SHELLING = "shelling"
 WEAK_SHELLING = "weak-shelling"
 STRONG_GCD = "strong-gcd"
 
-#: Exhaustive search is guaranteed complete up to this many facets.
-DEFAULT_MAX_EXACT_FACETS = 22
-#: States a best-effort search may visit on over-threshold instances.
-DEFAULT_NODE_BUDGET = 50_000
-
-ENV_MAX_FACETS = "SHELLCERT_MAX_FACETS"
+#: Prefix-sets any one order search may visit before it raises Undecided.
+NODE_BUDGET = 250_000
 
 
 class Undecided(Exception):
-    """The instance exceeded the exact-search threshold and no certificate was found.
+    """An order search visited ``NODE_BUDGET`` prefix-sets without an answer.
 
     Deliberately distinct from a None result: None means *proven* that no
     order exists, Undecided means the search gave up.
@@ -200,18 +198,6 @@ def is_trivially_weakly_shellable(c: Complex) -> bool:
     return True
 
 
-def _resolve_threshold(max_facets: Optional[int]) -> int:
-    if max_facets is not None:
-        return max_facets
-    env = os.environ.get(ENV_MAX_FACETS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError("%s must be an integer, got %r" % (ENV_MAX_FACETS, env))
-    return DEFAULT_MAX_EXACT_FACETS
-
-
 def _incidence(facets: Sequence[int], full: int) -> list:
     """contain[v]: the index mask of the facets that contain vertex v."""
     contain = [0] * full.bit_length()
@@ -221,7 +207,7 @@ def _incidence(facets: Sequence[int], full: int) -> list:
     return contain
 
 
-def _search_order(r: int, moves, budget: Optional[int]):
+def _search_order(r: int, moves, budget: int):
     """Iterative depth-first search over prefix-sets of r items.
 
     ``moves(state, added, parent)`` returns the index mask of the items to
@@ -230,7 +216,7 @@ def _search_order(r: int, moves, budget: Optional[int]):
     root all three are 0.  Branches are tried in index order, so the first
     completed order is deterministic.  Returns the order as a list of
     indices, None when the whole reachable region was exhausted, or raises
-    Undecided when a budget was given and ran out.
+    Undecided when more than ``budget`` prefix-sets would be visited.
     """
     goal = (1 << r) - 1
     dead: set[int] = set()
@@ -241,7 +227,7 @@ def _search_order(r: int, moves, budget: Optional[int]):
     visited = 0
     while state != goal:
         visited += 1
-        if budget is not None and visited > budget:
+        if visited > budget:
             raise Undecided("search budget of %d states exhausted" % budget)
         mask = moves(state, added, mask)
         given.append(mask)
@@ -371,64 +357,55 @@ def _weak_moves(facets: Sequence[int], full: int):
     return moves
 
 
-def _search(c: Complex, kind: str, condition, max_facets, node_budget) -> Optional[OrderCertificate]:
+def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:
     facets = c.facets
-    r = len(facets)
-    if r <= 1:
-        return OrderCertificate(kind, c, tuple(facets))
-    threshold = _resolve_threshold(max_facets)
-    budget = None
-    if r > threshold:
-        budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     moves = condition(facets, c.universe.full_mask)
     if moves is None:
         return None
-    idx_order = _search_order(r, moves, budget)
+    idx_order = _search_order(len(facets), moves, NODE_BUDGET)
     if idx_order is None:
         return None
     return OrderCertificate(kind, c, tuple(facets[i] for i in idx_order))
 
 
-def find_shelling_order(c: Complex, max_facets: Optional[int] = None,
-                        node_budget: Optional[int] = None) -> Optional[OrderCertificate]:
+def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     """A shelling order of c, or None when provably none exists.
 
-    None is a proof at any size; over the exact-search threshold the search
-    is budgeted and raises Undecided when the budget runs out first.
+    None is a proof at any size; Undecided is raised when the search visits
+    ``NODE_BUDGET`` prefix-sets without an answer.
     """
-    return _search(c, SHELLING, _shelling_moves, max_facets, node_budget)
+    return _search(c, SHELLING, _shelling_moves)
 
 
-def find_weak_shelling_order(c: Complex, max_facets: Optional[int] = None,
-                             node_budget: Optional[int] = None) -> Optional[OrderCertificate]:
+def find_weak_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     """A weak shelling order of c, or None when provably none exists.
 
     When no two facets union to the universe the identity order is returned
     without a search: every order qualifies.  A full-union pair with no
-    possible saver returns None without a search, also over the threshold,
-    where otherwise a budgeted search may raise Undecided.
+    possible saver returns None without a search.  None is a proof at any
+    size; Undecided is raised when the search visits ``NODE_BUDGET``
+    prefix-sets without an answer.
     """
     if is_trivially_weakly_shellable(c):
         return OrderCertificate(WEAK_SHELLING, c, tuple(c.facets))
-    return _search(c, WEAK_SHELLING, _weak_moves, max_facets, node_budget)
+    return _search(c, WEAK_SHELLING, _weak_moves)
 
 
-def find_strong_gcd_order(c: Complex, max_facets: Optional[int] = None,
-                          node_budget: Optional[int] = None) -> Optional[OrderCertificate]:
+def find_strong_gcd_order(c: Complex) -> Optional[OrderCertificate]:
     """A strong gcd-order of c's minimal non-faces, or None when none exists.
 
     Decided via the dual: reverse a weak shelling order of the dual complex
     and take complements.  Searching the gcd condition directly would not be
     prefix-closed, since the filling index may come after both pair members.
-    None is a proof at any size, as for ``find_weak_shelling_order``.
+    None is a proof at any size; Undecided is raised when the search of the
+    dual visits ``NODE_BUDGET`` prefix-sets without an answer.
     """
-    return _strong_gcd_via_dual(c, alexander_dual(c), max_facets, node_budget)
+    return _strong_gcd_via_dual(c, alexander_dual(c))
 
 
-def _strong_gcd_via_dual(c: Complex, dual: Complex, max_facets: Optional[int],
-                         node_budget: Optional[int]) -> Optional[OrderCertificate]:
+def _strong_gcd_via_dual(c: Complex, dual: Complex) -> Optional[OrderCertificate]:
     """``find_strong_gcd_order`` for a caller that already holds c's dual."""
-    weak = find_weak_shelling_order(dual, max_facets=max_facets, node_budget=node_budget)
+    weak = find_weak_shelling_order(dual)
     if weak is None:
         return None
     full = c.universe.full_mask

@@ -100,13 +100,15 @@ class TestBuildFactTable:
         t = build_fact_table(c)
         assert t.values() == (TRUE, TRUE, TRUE, TRUE)
 
-    def test_tiny_threshold_never_fabricates(self):
+    def test_tiny_threshold_never_fabricates(self, monkeypatch):
         # a budgeted search may still prove FALSE by exhausting its region,
         # or find a certificate; it must never claim the wrong thing
-        t = build_fact_table(dunce_hat(), max_facets=3)
         exact = build_fact_table(dunce_hat())
-        for name in ("dual_shellable", "strong_gcd"):
-            assert t.slots[name].value in (exact.slots[name].value, UNKNOWN)
+        for budget in (1, 10, 100, 1000):
+            monkeypatch.setattr("shellcert.orders.NODE_BUDGET", budget)
+            t = build_fact_table(dunce_hat())
+            for name in ("dual_shellable", "strong_gcd"):
+                assert t.slots[name].value in (exact.slots[name].value, UNKNOWN)
 
     def test_nonfaces_computed_once_per_table(self, monkeypatch):
         import sys

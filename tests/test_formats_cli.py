@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellcert as sc
-from shellcert.cli import EX_INPUT, EX_INTERNAL, main
+from shellcert.cli import EX_FAIL, EX_INPUT, EX_INTERNAL, EX_OK, EX_UNDECIDED, main
 from shellcert.formats import parse_complex, to_json_document, to_text
 
 
@@ -72,6 +72,14 @@ class TestParse:
     def test_text_string_labels(self):
         c = parse_complex("vertices: a b c\na b\nb c\n")
         assert c.facet_members() == [("a", "b"), ("b", "c")]
+
+    def test_text_labels_coerced_once_for_the_whole_document(self):
+        # one non-numeric label anywhere makes every label a string
+        c = parse_complex("vertices: 1 2 a\n1 2\n")
+        assert c.universe.labels == ("1", "2", "a")
+        assert c.facet_members() == [("1", "2")]
+        c = parse_complex("vertices: 1 2 a\n1 a\n")
+        assert c.facet_members() == [("1", "a")]
 
     def test_text_comments_and_blanks(self):
         c = parse_complex("# a triangle\nvertices: 1 2 3\n\n1 2 3\n")
@@ -154,10 +162,9 @@ class TestCli:
         assert code == 0 and "found" in out
 
     def test_find_undecided_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHELLCERT_MAX_FACETS", "2")
         # 6 facets in the dual, every full-union pair has a possible saver, and
         # the budget is too small to decide weak shellability of the dual
-        monkeypatch.setattr("shellcert.orders.DEFAULT_NODE_BUDGET", 10)
+        monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 10)
         code, out, _ = self.run(["find", "sgcd", "--fixture", "gcd-violator"], capsys)
         assert code == 3
         assert "undecided" in out
@@ -245,6 +252,13 @@ class TestCli:
         assert code == EX_INPUT
         assert out == "" and "input error" in err
 
+    def test_numeric_faces_with_a_string_vertex(self, capsys, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text("vertices: 1 2 a\n1 2\n")
+        code, out, err = self.run(["dual", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["vertices"] == ["1", "2", "a"]
+
     def test_missing_input_is_input_error(self, capsys):
         code, _, err = self.run(["dual"], capsys)
         assert code == 2
@@ -317,3 +331,14 @@ class TestFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["dual", str(path)])
         assert code in (0, EX_INPUT), err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(DOCUMENTS)
+    def test_find_and_table_never_exit_internal_error(self, fuzz_dir, doc):
+        path = fuzz_dir / "doc"
+        path.write_text(doc, encoding="utf-8")
+        for argv in (["find", "weak", str(path)], ["table", str(path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EX_OK, EX_FAIL, EX_INPUT, EX_UNDECIDED), (argv, err.getvalue())

@@ -4,7 +4,7 @@ import pytest
 
 import shellcert as sc
 from shellcert.complexes import VertexSet
-from shellcert.orders import DEFAULT_MAX_EXACT_FACETS, _weak_moves
+from shellcert.orders import _weak_moves
 
 from conftest import seeded_complexes
 
@@ -197,23 +197,32 @@ def no_weak_order_but_every_pair_has_a_saver():
     return sc.alexander_dual(gcd_violator())  # 6 facets; the refutation does not apply
 
 
+@pytest.fixture
+def tiny_budget(monkeypatch):
+    """Let every order search visit one prefix-set only."""
+    monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 1)
+
+
 class TestThreshold:
-    def test_over_threshold_raises_undecided_when_nothing_found(self):
+    """``orders.NODE_BUDGET``, the number of prefix-sets any search may visit."""
+
+    def test_over_threshold_raises_undecided_when_nothing_found(self, tiny_budget):
         c = no_weak_order_but_every_pair_has_a_saver()
         with pytest.raises(sc.Undecided):
-            sc.find_weak_shelling_order(c, max_facets=2, node_budget=1)
+            sc.find_weak_shelling_order(c)
 
-    def test_over_threshold_may_still_find_a_certificate(self):
+    def test_over_threshold_may_still_find_a_certificate(self, monkeypatch):
+        monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 10)
         c = cx(5, [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}])
-        cert = sc.find_shelling_order(c, max_facets=2, node_budget=10_000)
+        cert = sc.find_shelling_order(c)
         assert cert is not None and sc.check_shelling_order(c, cert)
 
-    def test_env_var_override(self, monkeypatch):
+    def test_budget_is_read_at_call_time(self, monkeypatch):
         c = no_weak_order_but_every_pair_has_a_saver()
-        monkeypatch.setenv("SHELLCERT_MAX_FACETS", "2")
+        monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 1)
         with pytest.raises(sc.Undecided):
-            sc.find_weak_shelling_order(c, node_budget=1)
-        monkeypatch.setenv("SHELLCERT_MAX_FACETS", str(DEFAULT_MAX_EXACT_FACETS))
+            sc.find_weak_shelling_order(c)
+        monkeypatch.undo()
         assert sc.find_weak_shelling_order(c) is None
 
 
@@ -243,6 +252,17 @@ def weak_order_exists_by_reachability(c):
     return frozenset(c.facets) in reach
 
 
+def cone_over_star_plus_triangle(m):
+    """Cone (apex "a") over the star K_{1,m} (centre "c"), plus a disjoint triangle.
+
+    m + 1 facets and not shellable; the m cone facets are interchangeable, so
+    an exhaustive search visits about 2^m prefix-sets.
+    """
+    leaves = ["l%d" % i for i in range(m)]
+    u = VertexSet.of(["a", "c"] + leaves + ["x", "y", "z"])
+    return sc.from_facets(u, [("a", "c", l) for l in leaves] + [("x", "y", "z")])
+
+
 # Minimal non-face families whose duals have no weak shelling order although
 # every full-union pair has a possible saver, so the search must run to the end.
 EXHAUSTIVE_NONE = (
@@ -267,15 +287,28 @@ class TestEngine:
         cert = sc.find_shelling_order(c)
         assert cert is not None and sc.check_shelling_order(c, cert)
 
-    def test_refutation_is_a_proof_over_the_threshold(self):
-        c = cx(3, [{1, 2}, {2, 3}, {1, 3}])  # {12, 23} unions to all; 13 misses 2
-        assert sc.find_weak_shelling_order(c, max_facets=2, node_budget=1) is None
+    def test_unbounded_reproducer_is_undecided_within_the_budget(self, tmp_path, capsys):
+        from shellcert.cli import EX_UNDECIDED, main
+        from shellcert.formats import to_json_document
 
-    def test_refutation_settles_the_dunce_hat_dual(self):
+        c = cone_over_star_plus_triangle(21)
+        assert len(c.facets) == 22
+        with pytest.raises(sc.Undecided):
+            sc.find_shelling_order(c)
+        path = tmp_path / "cone.json"
+        path.write_text(to_json_document(c), encoding="utf-8")
+        assert main(["find", "shelling", str(path)]) == EX_UNDECIDED == 3
+        assert "undecided" in capsys.readouterr().out
+
+    def test_refutation_is_a_proof_over_the_threshold(self, tiny_budget):
+        c = cx(3, [{1, 2}, {2, 3}, {1, 3}])  # {12, 23} unions to all; 13 misses 2
+        assert sc.find_weak_shelling_order(c) is None
+
+    def test_refutation_settles_the_dunce_hat_dual(self, tiny_budget):
         from shellcert.catalog import dunce_hat
         d = sc.alexander_dual(dunce_hat())
         assert _weak_moves(d.facets, d.universe.full_mask) is None
-        assert sc.find_weak_shelling_order(d, max_facets=2, node_budget=1) is None
+        assert sc.find_weak_shelling_order(d) is None
 
     def test_weak_search_agrees_with_checker_reachability(self):
         def searchable(c):

@@ -1,8 +1,10 @@
-"""Package-wide properties: no state outlives a call, the README names every
-fixture, and the benchmark's own corruption checks still run."""
+"""Package-wide properties: no state outlives a call, no environment variable
+changes behaviour, the README names every fixture, and the benchmark's own
+corruption checks still run."""
 
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,13 @@ def test_no_module_level_cache():
             if callable(obj) and hasattr(obj, "cache_info"):
                 cached.append("%s.%s" % (info.name, name))
     assert cached == []
+
+
+def test_no_environment_knobs():
+    # behaviour is set by arguments and module constants, never by the environment
+    knobs = [p.name for p in sorted((ROOT / "src" / "shellcert").glob("*.py"))
+             if re.search(r"os\.environ|os\.getenv", p.read_text(encoding="utf-8"))]
+    assert knobs == []
 
 
 def test_readme_names_every_fixture():
