@@ -147,8 +147,9 @@ def cmd_find(args) -> int:
 
 
 def _fields(args):
+    """Fields named by --field, each once in first-seen order, or the defaults."""
     if getattr(args, "field", None):
-        return tuple(Field.parse(f) for f in args.field)
+        return tuple(dict.fromkeys(Field.parse(f) for f in args.field))
     return DEFAULT_FIELDS
 
 

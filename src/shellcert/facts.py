@@ -166,10 +166,11 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
     minimal non-faces are computed once; the flag bit, the dual and the
     strong gcd search all derive from them.
 
-    Q is recorded as sequentially CM without its own sweep once a prime
-    field listed before it has said so: by universal coefficients, link
-    homology that vanishes over GF(p) vanishes over Q (see ``homology``).
-    A failing prime field says nothing about Q, so Q is then computed.
+    A field listed twice is swept once.  Q is recorded as sequentially CM
+    without its own sweep once a prime field listed before it has said so:
+    by universal coefficients, link homology that vanishes over GF(p)
+    vanishes over Q (see ``homology``).  A failing prime field says nothing
+    about Q, so Q is then computed.
     """
     nonfaces = minimal_nonfaces(c)
     table = FactTable(c, flag=_flag_from_nonfaces(nonfaces), ghost_free=not c.has_ghost_vertices)
@@ -193,7 +194,7 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
         support_dual = restrict_to_support(dual)
         verdicts = {}
         prime_passed = False
-        for f in fields:
+        for f in dict.fromkeys(fields):
             if f.p is None and prime_passed:
                 verdicts[str(f)] = True
                 continue

@@ -2,10 +2,25 @@
 Cohen-Macaulayness.
 
 Ranks are computed from boundary matrices by exact elimination only.  Each
-face gives one sparse boundary row.  Over GF(2) the row is packed into a
-bitmask and reduced by XOR (``rank_gf2``); over GF(p) and the rationals one
-sparse kernel (``rank_sparse``) reduces it by cross-multiples, mod p or
-divided by the gcd of its entries.  No floating point anywhere.
+face that is not cleared (below) gives one sparse boundary row.  Over GF(2)
+the row is packed into a bitmask and reduced by XOR (``_pivots_gf2``); over
+GF(p) and the rationals one sparse kernel (``_pivots_sparse``) reduces it by
+cross-multiples, mod p or divided by the gcd of its entries.  Both return
+their pivots keyed by leading column; ``rank_gf2`` and ``rank_sparse``
+count them.  No floating point anywhere.
+
+Boundary ranks are computed from the top dimension down, with *clearing*
+(Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011).
+Lemma: if the elimination of the boundary from (k+1)-faces leaves a pivot
+with leading column c, the row of the k-face c in the boundary from k-faces
+reduces to zero against the rows of higher index, so it is never built.
+Proof: a pivot is a combination of (k+1)-face boundaries, so it is a k-cycle
+z with z_c != 0 and every other term of index > c.  Its boundary is 0, so
+row c is -1/z_c times the combination of rows j > c with weights z_j.  Rows
+are taken in descending index, so those rows are either kept or, by the
+same argument, in the span of kept rows; the rank is the same over every
+field.  Each layer k hands the kernel f_k - rank(boundary from (k+1)-faces)
+rows, where the full sweep handed it f_k.
 
 The chain complex is *augmented*: the empty face spans the (-1)-chains, so
 rank(-1) is nonzero only for the complex whose sole face is the empty face.
@@ -36,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import gcd
-from typing import Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .complexes import Complex, InputError, VertexSet, _faces_by_size
 
@@ -113,27 +128,37 @@ QQ = Field.rationals()
 DEFAULT_FIELDS = (GF2, QQ)
 
 
-def rank_gf2(vectors: Sequence[int]) -> int:
-    """Rank of bitmask vectors over GF(2), by XOR elimination on lowest set bits."""
+def _pivots_gf2(vectors: Iterable[int]) -> dict:
+    """Pivots of bitmask vectors over GF(2), keyed by leading column.
+
+    A vector's leading column is the index of its lowest set bit.  Each vector
+    is reduced by XOR against the pivot with its leading column until it
+    vanishes or opens a new one, so each pivot has no set bit below its key.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for v in vectors:
         while v:
-            low = v & -v
-            piv = pivots.get(low)
+            lead = (v & -v).bit_length() - 1
+            piv = pivots.get(lead)
             if piv is None:
-                pivots[low] = v
-                rank += 1
+                pivots[lead] = v
                 break
             v ^= piv
-    return rank
+    return pivots
 
 
-def rank_sparse(rows: Sequence[dict], p: Optional[int]) -> int:
-    """Rank of sparse rows ``{column: entry}`` over GF(p), or over Q when p is None.
+def rank_gf2(vectors: Sequence[int]) -> int:
+    """Rank of bitmask vectors over GF(2), from the pivots of ``_pivots_gf2``
+    (XOR elimination on lowest set bits, keyed by leading column)."""
+    return len(_pivots_gf2(vectors))
 
-    Rows are reduced one at a time against pivots keyed by their leading
-    column, as in ``rank_gf2``.  An update is the cross-multiple
+
+def _pivots_sparse(rows: Iterable[dict], p: Optional[int]) -> dict:
+    """Pivots of sparse rows ``{column: entry}`` over GF(p), or over Q when p
+    is None, keyed by leading column (the least column with a nonzero entry).
+
+    Rows are reduced one at a time against the pivot with their leading
+    column, as in ``_pivots_gf2``.  An update is the cross-multiple
     ``pv*row - f*pivot``, reduced mod p or divided by the gcd of its entries
     over Q so they stay small.  Scaling a row by a nonzero scalar never changes
     the rank, so no pivot is normalised and no inverse mod p is needed.
@@ -159,17 +184,28 @@ def rank_sparse(rows: Sequence[dict], p: Optional[int]) -> int:
             for c, y in piv.items():
                 new[c] = new.get(c, 0) - f * y
             row = normalised(new)
-    return len(pivots)
+    return pivots
 
 
-def _boundary_rank(faces_d: Sequence[int], below_index: dict, field: Field) -> int:
-    """Rank of the boundary map from d-faces to (d-1)-faces.
+def rank_sparse(rows: Sequence[dict], p: Optional[int]) -> int:
+    """Rank of sparse rows ``{column: entry}`` over GF(p), or over Q when p is
+    None, from the pivots of ``_pivots_sparse`` (keyed by leading column)."""
+    return len(_pivots_sparse(rows, p))
 
-    Over GF(2) signs vanish, so each row goes straight into a bitmask.
+
+def _boundary_rank(faces_d: Sequence[int], below_index: dict, cleared: Container[int],
+                   field: Field) -> tuple:
+    """Rank of the boundary map from d-faces to (d-1)-faces, and its pivot columns.
+
+    Rows go to the kernel in descending face index, and the row of every face
+    whose index is in ``cleared`` is never built (``_reduced_ranks`` says why
+    that is exact).  A pivot column is the index of a (d-1)-face.  Over GF(2)
+    signs vanish, so each row goes straight into a bitmask.
     """
+    faces = [faces_d[j] for j in range(len(faces_d) - 1, -1, -1) if j not in cleared]
     if field.p == 2:
         vectors = []
-        for F in faces_d:
+        for F in faces:
             v = 0
             m = F
             while m:
@@ -177,19 +213,21 @@ def _boundary_rank(faces_d: Sequence[int], below_index: dict, field: Field) -> i
                 v |= 1 << below_index[F ^ low]
                 m ^= low
             vectors.append(v)
-        return rank_gf2(vectors)
-    rows = []
-    for F in faces_d:
-        row = {}
-        sign = 1
-        m = F
-        while m:
-            low = m & -m
-            row[below_index[F ^ low]] = sign
-            sign = -sign
-            m ^= low
-        rows.append(row)
-    return rank_sparse(rows, field.p)
+        pivots = _pivots_gf2(vectors)
+    else:
+        rows = []
+        for F in faces:
+            row = {}
+            sign = 1
+            m = F
+            while m:
+                low = m & -m
+                row[below_index[F ^ low]] = sign
+                sign = -sign
+                m ^= low
+            rows.append(row)
+        pivots = _pivots_sparse(rows, field.p)
+    return len(pivots), pivots.keys()
 
 
 @dataclass(frozen=True)
@@ -218,11 +256,23 @@ class HomologyProfile:
 
 
 def _reduced_ranks(layers: Sequence[Sequence[int]], field: Field) -> tuple:
-    """(dimension, rank) pairs from -1 up, for faces grouped by size (entry k: k-faces)."""
+    """(dimension, rank) pairs from -1 up, for faces grouped by size (entry k: k-faces).
+
+    The boundary ranks are computed from the top layer down, with clearing
+    (Chen-Kerber 2011): the rows of the k-faces whose indices are pivot
+    columns of the boundary from the (k+1)-faces are skipped.  A pivot with
+    leading column c is a combination of (k+1)-face boundaries, so it is a
+    k-cycle whose other terms all have index > c; its boundary is 0, so row c
+    of the k-face boundary is a combination of the rows of index > c.  Going
+    down the indices, every skipped row lies in the span of the rows kept, so
+    the rank is unchanged, over every field.  Layer k hands the kernel
+    exactly f_k - rank(boundary from (k+1)-faces) rows.
+    """
     brank = [0] * (len(layers) + 1)  # brank[k]: rank of the boundary from k-faces
-    for k in range(1, len(layers)):
+    cleared: Container[int] = ()
+    for k in range(len(layers) - 1, 0, -1):
         below = {f: j for j, f in enumerate(layers[k - 1])}
-        brank[k] = _boundary_rank(layers[k], below, field)
+        brank[k], cleared = _boundary_rank(layers[k], below, cleared, field)
     return tuple((k - 1, len(layers[k]) - brank[k] - brank[k + 1]) for k in range(len(layers)))
 
 

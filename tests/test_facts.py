@@ -155,6 +155,13 @@ class TestBuildFactTable:
         t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"](), fields=(sc.QQ, sc.GF2))
         assert calls == ["Q", "GF(2)"]
         assert t.scm_by_field == {"Q": True, "GF(2)": True}
+        # a field listed twice is swept once, in first-seen order
+        for fields, expected in (((sc.GF2, sc.GF2), ["GF(2)"]),
+                                 ((sc.QQ, sc.GF2, sc.QQ, sc.GF2), ["Q", "GF(2)"])):
+            calls.clear()
+            t = build_fact_table(catalog.FIXTURES["projective-plane"](), fields=fields)
+            assert calls == expected
+            assert list(t.scm_by_field) == expected
 
     def test_ghosted_complex_skips_ghost_sensitive_rules(self):
         # two edges of a path: dual facets miss a single vertex each, the

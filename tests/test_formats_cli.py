@@ -185,6 +185,19 @@ class TestCli:
         assert code == 0
         assert "H~1=1" in out and "GF(2)" in out and "over Q" in out
 
+    def test_repeated_field_printed_once(self, capsys):
+        fields = ["--field", "gf2", "--field", "GF2", "--field", "q", "--field", "gf2"]
+        code, out, _ = self.run(["homology", "--fixture", "projective-plane"] + fields, capsys)
+        assert code == 0
+        assert out.splitlines() == ["[H~-1=0, H~0=0, H~1=1, H~2=1 over GF(2)]",
+                                    "[H~-1=0, H~0=0, H~1=0, H~2=0 over Q]"]
+        for cmd, skeleton in (("cm", "None"), ("scm", "2")):
+            code, out, _ = self.run([cmd, "--fixture", "projective-plane"] + fields, capsys)
+            assert code == 1
+            assert out.splitlines() == [
+                "GF(2): no, witness CMWitness(face=(), degree=1, rank=1, skeleton_dim=%s)" % skeleton,
+                "Q: yes"]
+
     def test_homology_odd_prime(self, capsys):
         code, out, _ = self.run(
             ["homology", "--fixture", "projective-plane", "--field", "gf5"], capsys)
