@@ -28,15 +28,31 @@ Boundary signs come from vertex positions in ascending index order; any
 consistent convention gives the same ranks, fixing one makes the matrices
 reproducible.
 
-The link sweeps build no ``Complex`` per link or per skeleton.  The link of a
-face s is generated by F - s over the facets F containing s (its star), so
-its faces are the subsets of those sets.  The pure i-skeleton D^[i] is
-generated by the (i+1)-element faces of D, which ``is_sequentially_cm`` takes
-from its one face list of D, and by Duval's identity
-lk_{D^[i]}(s) = (lk_D s)^[i-|s|] (Electron. J. Combin. 1996) a link in the
-skeleton is generated by G - s over the (i+1)-faces G containing s: the
-skeleton's own star.  Only faces are swept, so a vertex in no face of a
-skeleton plays no part, and no face list is kept after the call.
+The link sweeps build no ``Complex`` per link or per skeleton, and list the
+faces of a complex once per sweep.  The costar of a face s is the list of
+faces t containing s, grouped by |t| - |s|; the link of s has the faces
+t - s, layer by layer in the same ascending order (t - s is t XOR s, which
+keeps the order of masks that all contain s).  The costar of the empty face
+is the face list itself.  A face s with lowest vertex v has the parent s - v,
+one size layer earlier in canonical order, and the costar of s is the
+parent's costar from its layer 1 on, filtered to the faces that contain v.
+Adding a vertex lowers a link's dimension by at least one and links of
+dimension <= 0 pass, so only the costars of links of dimension >= 2 are
+kept, for one size layer at a time.
+
+The pure i-skeleton D^[i] is generated by the (i+1)-element faces of D, which
+``is_sequentially_cm`` takes from its one face list of D; D is sequentially
+Cohen-Macaulay when every D^[i] is Cohen-Macaulay (Duval, Electron. J.
+Combin. 1996).  Once the top skeleton D^[top] has passed, skeleton i < top is
+not swept when every i-face of D lies in a top facet: then D^[i] is the
+i-skeleton of D^[top], and a skeleton of a Cohen-Macaulay complex is
+Cohen-Macaulay.  Proof (Reisner): for a face s of K^(m), m <= dim K,
+lk_{K^(m)} s = (lk_K s)^(m-|s|), and H~_j(L^(q)) = H~_j(L) for j < q, since
+the chains and boundaries in degrees <= q agree; lk_K s has no homology
+below dim K - |s| >= m - |s|, so neither has its (m-|s|)-skeleton.  A skipped
+skeleton holds no witness, so the order top, 0, 1, ... gives the same report.
+Only faces are swept, so a vertex in no face of a skeleton plays no part,
+and no face list is kept after the call.
 
 Cohen-Macaulayness over Q is decided at about the cost of GF(2).  By the
 universal coefficient theorem, H~_i(K; GF(p)) is H~_i(K; Z) (x) GF(p) plus
@@ -304,29 +320,50 @@ class CMReport:
         return self.ok
 
 
-def _cm_witness(universe: VertexSet, facets: Sequence[int], field: Field) -> Optional[CMWitness]:
-    """First face (canonical order) of the complex generated by ``facets``
-    whose link has homology below its dimension, or None.
+def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
+                field: Field) -> Optional[CMWitness]:
+    """First face (canonical order) of the complex with the given faces (grouped
+    by size, as ``_faces_by_size`` lists them) whose link has homology below
+    its dimension, or None.
 
-    A link's faces are the subsets of the face's star (module docstring).
-    Links of dimension <= 0 cannot violate the condition: the only degree
-    below 0 is -1, and a complex with a vertex has rank 0 there.  Over Q a
-    link is first checked over GF(2) and skipped if it passes there, so only
-    links that fail over GF(2) are eliminated over Q; the first failing face,
-    and so the witness, is unchanged.
+    Each link comes from the face's costar, the faces containing it grouped
+    by how many vertices they add: the costar of the empty face is ``faces``,
+    and that of s is its parent's (s minus its lowest vertex v), from layer 1
+    on, filtered to the faces containing v (module docstring).  Links of
+    dimension <= 0 cannot violate the condition: the only degree below 0 is
+    -1, and a complex with a vertex has rank 0 there.  So costars are kept for
+    one size layer and only for links of dimension >= 2; a face whose parent
+    kept none has a link of dimension <= 0, and the sweep ends at a layer that
+    keeps none.  Over Q a link is first checked over GF(2) and skipped if it
+    passes there, so only links that fail over GF(2) are eliminated over Q;
+    the first failing face, and so the witness, is unchanged.
     """
-    for layer in _faces_by_size(facets):
+    kept = {0: faces}
+    for layer in faces:
+        costars = {}
         for sigma in layer:
-            star = [F ^ sigma for F in facets if F & sigma == sigma]
-            d = max(map(int.bit_count, star)) - 1
+            low = sigma & -sigma
+            parent = kept.get(sigma ^ low)
+            if parent is None:
+                continue
+            if sigma:  # the layers that keep a face stay contiguous from layer 0
+                costar = [ts for ts in ([t for t in us if t & low] for us in parent[1:]) if ts]
+            else:
+                costar = parent
+            d = len(costar) - 2  # layer j holds the link's (j-1)-faces
             if d < 1:
                 continue
-            lk = _faces_by_size(star)
+            if d > 1:
+                costars[sigma] = costar
+            lk = [[t ^ sigma for t in ts] for ts in costar]
             if field.p is None and not any(r for i, r in _reduced_ranks(lk, GF2) if i < d):
                 continue
             for i, r in _reduced_ranks(lk, field):
                 if i < d and r:
                     return CMWitness(universe.members(sigma), i, r)
+        if not costars:
+            return None
+        kept = costars
     return None
 
 
@@ -342,7 +379,7 @@ def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     if c.has_ghost_vertices:
         ghosts = c.universe.members(c.universe.full_mask ^ c.support)
         return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
-    w = _cm_witness(c.universe, c.facets, field)
+    w = _cm_witness(c.universe, _faces_by_size(c.facets), field)
     return CMReport(w is None, field, witness=w)
 
 
@@ -351,11 +388,14 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     Cohen-Macaulay for every 0 <= i <= dim.
 
     The top skeleton is checked first; it is the cheapest way to fail.  The
-    (i+1)-element faces of c are the facets of skeleton i, and a link in it
-    comes from its star by Duval's identity (see the module docstring).  Only
-    faces are swept, so vertices a skeleton leaves unused (a vertex facet is
-    in no pure 1-skeleton) play no part.  Over Q the link sweep of each
-    skeleton screens links over GF(2) first, as in ``is_cohen_macaulay``.
+    (i+1)-element faces of c are the facets of skeleton i, whose faces are
+    listed once and swept by costars (see the module docstring).  Once the
+    top skeleton passes, a skeleton whose i-faces all lie in top facets is
+    the i-skeleton of a Cohen-Macaulay complex, so it is Cohen-Macaulay and
+    not swept; a pure complex costs one sweep, as in ``is_cohen_macaulay``.
+    Only faces are swept, so vertices a skeleton leaves unused (a vertex
+    facet is in no pure 1-skeleton) play no part.  Over Q the link sweep of
+    each skeleton screens links over GF(2) first, as in ``is_cohen_macaulay``.
     """
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")
@@ -364,8 +404,10 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
         return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
     layers = _faces_by_size(c.facets)
     top = c.dim
-    for i in [top] + list(range(top)):
-        w = _cm_witness(c.universe, layers[i + 1], field)
+    top_faces = layers if c.is_pure else _faces_by_size(layers[top + 1])
+    for i in [top] + [i for i in range(top) if len(top_faces[i + 1]) < len(layers[i + 1])]:
+        faces = top_faces if i == top else _faces_by_size(layers[i + 1])
+        w = _cm_witness(c.universe, faces, field)
         if w is not None:
             return CMReport(False, field, witness=replace(w, skeleton_dim=i))
     return CMReport(True, field)

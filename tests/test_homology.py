@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -231,11 +232,17 @@ def oracle_scm_witness(c, p):
 ORACLE_FIELDS = ((sc.GF2, 2), (sc.Field.gf(3), 3), (sc.QQ, None))
 
 
+def triangle_and_edge():
+    """A Cohen-Macaulay top skeleton whose 1-faces are not all in it: the pure
+    1-skeleton is disconnected."""
+    return sc.from_facets(VertexSet.of(range(5)), [{0, 1, 2}, {3, 4}])
+
+
 def q_sweep_inputs():
     # in the triangle chain both vertex 3 and vertex 5 have disconnected links;
     # the witness must be the first in canonical order
     extra = [projective_plane(), cone_over_projective_plane(),
-             cx(7, [{1, 2, 3}, {3, 4, 5}, {5, 6, 7}])]
+             cx(7, [{1, 2, 3}, {3, 4, 5}, {5, 6, 7}]), triangle_and_edge()]
     return extra + seeded_complexes(40, seed=8675309, n_range=(3, 6),
                                     accept=lambda c: not c.is_void and not c.has_ghost_vertices)
 
@@ -316,6 +323,88 @@ class TestSequentiallyCM:
         for f in (sc.GF2, sc.QQ):
             assert sc.is_sequentially_cm(c, f).ok == (
                 sc.is_cohen_macaulay(sc.restrict_to_support(cx(4, [{1, 2, 3}])), f).ok)
+
+
+def skipped_skeleta(c):
+    """Skeleta i < dim whose i-faces all lie in top facets, from the facet sets."""
+    facets = facet_sets(c)
+    top = [F for F in facets if len(F) == c.dim + 1]
+    return [i for i in range(c.dim)
+            if all(any(set(f) <= T for T in top)
+                   for F in facets for f in itertools.combinations(F, i + 1))]
+
+
+def oracle_top_is_cm(c, p):
+    return oracle_cm_witness(sc.restrict_to_support(sc.pure_skeleton(c, c.dim)), p) is None
+
+
+class TestCostarSweep:
+    """One face list per link sweep, and no sweep of a skeleton of a Cohen-Macaulay top."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        fn = getattr(homology, name)
+
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(homology, name, wrapped)
+        return calls
+
+    def test_cohen_macaulay_lists_faces_once(self, monkeypatch):
+        [c] = seeded_complexes(1, seed=88, n_range=(8, 8), density=(0.5, 0.8),
+                               accept=lambda c: (not c.has_ghost_vertices and c.dim >= 2
+                                                 and len(c.facets) >= 4
+                                                 and sc.is_cohen_macaulay(c, sc.GF2).ok))
+        calls = self.counting(monkeypatch, "_faces_by_size")
+        for f, _ in ORACLE_FIELDS:
+            calls.clear()
+            assert sc.is_cohen_macaulay(c, f).ok
+            assert len(calls) == 1
+
+    def test_pure_cohen_macaulay_input_is_swept_once(self, monkeypatch):
+        [shellable] = seeded_complexes(1, seed=4242, n_range=(5, 7),
+                                       accept=lambda c: (not c.is_void and c.is_pure and c.dim >= 2
+                                                         and not c.has_ghost_vertices
+                                                         and len(c.facets) >= 3
+                                                         and sc.find_shelling_order(c) is not None))
+        skeleton = sc.pure_skeleton(cx(6, [set(range(1, 7))]), 2)
+        # a disk plus an edge outside it: skeleton 0 lies in the top, skeleton 1 does not
+        disk_and_edge = cx(4, [{1, 2, 3}, {2, 3, 4}, {1, 4}])
+        calls = self.counting(monkeypatch, "_cm_witness")
+        for c, sweeps in ((dunce_hat(), 1), (skeleton, 1), (shellable, 1), (disk_and_edge, 2)):
+            for f, _ in ORACLE_FIELDS:
+                calls.clear()
+                assert sc.is_sequentially_cm(c, f).ok
+                assert len(calls) == sweeps
+
+    def test_skeleton_outside_the_top_is_still_swept(self):
+        c = triangle_and_edge()
+        for f, _ in ORACLE_FIELDS:
+            assert sc.is_cohen_macaulay(sc.restrict_to_support(sc.pure_skeleton(c, 2)), f).ok
+            rep = sc.is_sequentially_cm(c, f)
+            assert not rep.ok
+            assert rep.witness == sc.CMWitness((), 0, 1, skeleton_dim=1)
+
+    def test_skipped_skeleta_are_cohen_macaulay(self):
+        # the skeleton lemma on data, with the brute-force oracle only
+        sample = seeded_complexes(40, seed=16180, n_range=(4, 6), density=(0.3, 0.7),
+                                  accept=lambda c: (not c.is_void and c.dim >= 1
+                                                    and not c.has_ghost_vertices
+                                                    and oracle_top_is_cm(c, 2)
+                                                    and skipped_skeleta(c)))
+        assert sum(not c.is_pure for c in sample) >= 5
+        checked = 0
+        for c in sample:
+            for _, p in ORACLE_FIELDS:
+                if not oracle_top_is_cm(c, p):
+                    continue
+                for i in skipped_skeleta(c):
+                    assert oracle_cm_witness(sc.restrict_to_support(sc.pure_skeleton(c, i)), p) is None
+                    checked += 1
+        assert checked >= 3 * 40
 
 
 def clearing_inputs():
