@@ -50,8 +50,17 @@ EX_INPUT = 2
 EX_UNDECIDED = 3
 EX_INTERNAL = 4
 
-_CONDITIONS = {"shelling": SHELLING, "weak": WEAK_SHELLING, "sgcd": STRONG_GCD}
 _FIELD_HELP = "gf2, gf<p> for a prime p < 2**31, or q (repeatable)"
+
+
+def _conditions() -> dict:
+    """CLI condition name -> (kind, checker, finder), built from this module's
+    names when a command runs, so a replaced name takes effect."""
+    return {
+        "shelling": (SHELLING, check_shelling_order, find_shelling_order),
+        "weak": (WEAK_SHELLING, check_weak_shelling_order, find_weak_shelling_order),
+        "sgcd": (STRONG_GCD, check_strong_gcd_order, find_strong_gcd_order),
+    }
 
 
 def _load(args) -> Complex:
@@ -111,15 +120,9 @@ def cmd_flag(args) -> int:
 
 def cmd_check(args) -> int:
     c = _load(args)
-    kind = _CONDITIONS[args.condition]
+    kind, check, _ = _conditions()[args.condition]
     items = minimal_nonfaces(c) if kind == STRONG_GCD else list(c.facets)
-    seq = _parse_order(c, args.order, items)
-    if kind == SHELLING:
-        rep = check_shelling_order(c, seq)
-    elif kind == WEAK_SHELLING:
-        rep = check_weak_shelling_order(c, seq)
-    else:
-        rep = check_strong_gcd_order(c, seq)
+    rep = check(c, _parse_order(c, args.order, items))
     if rep.ok:
         print("valid %s order" % kind)
         return EX_OK
@@ -129,11 +132,9 @@ def cmd_check(args) -> int:
 
 def cmd_find(args) -> int:
     c = _load(args)
-    kind = _CONDITIONS[args.condition]
-    finder = {SHELLING: find_shelling_order, WEAK_SHELLING: find_weak_shelling_order,
-              STRONG_GCD: find_strong_gcd_order}[kind]
+    kind, _, find = _conditions()[args.condition]
     try:
-        cert = finder(c)
+        cert = find(c)
     except Undecided as e:
         print("undecided: %s" % e)
         return EX_UNDECIDED
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flag)
 
     p = sub.add_parser("check", help="validate a given order")
-    p.add_argument("condition", choices=sorted(_CONDITIONS))
+    p.add_argument("condition", choices=sorted(_conditions()))
     p.add_argument("--order", required=True,
                    help="comma-separated 0-based positions into the canonical facet "
                         "(or non-face, for sgcd) list")
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("find", help="search for an order; exit 3 when undecided")
-    p.add_argument("condition", choices=sorted(_CONDITIONS))
+    p.add_argument("condition", choices=sorted(_conditions()))
     _add_input_options(p)
     p.set_defaults(func=cmd_find)
 

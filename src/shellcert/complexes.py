@@ -153,6 +153,12 @@ class Complex:
             m |= f
         return m
 
+    @cached_property
+    def _nonfaces(self) -> tuple:
+        """The minimal non-faces, canonical order; read through ``minimal_nonfaces``."""
+        full = self.universe.full_mask
+        return _canonical(_minimal_transversals([full ^ f for f in self.facets]))
+
     @property
     def has_ghost_vertices(self) -> bool:
         """True iff some universe vertex lies in no facet."""
@@ -201,15 +207,15 @@ def _minimal_transversals(family: Sequence[int]) -> list:
 
 
 def minimal_nonfaces(c: Complex) -> list:
-    """All inclusion-minimal non-faces, canonical order.
+    """All inclusion-minimal non-faces, canonical order, as a fresh list.
 
     A set is a non-face iff it meets the complement of every facet, so the
     minimal non-faces are the minimal transversals of the facet-complement
-    family.  Empty iff c is the full simplex on its universe.
+    family.  They are computed once per complex, from its facets, on first
+    use, and freed with the complex; every call returns a new list, so a
+    caller may mutate it.  Empty iff c is the full simplex on its universe.
     """
-    full = c.universe.full_mask
-    family = [full ^ f for f in c.facets]
-    return sorted(_minimal_transversals(family), key=lambda m: (m.bit_count(), m))
+    return list(c._nonfaces)
 
 
 def alexander_dual(c: Complex) -> Complex:
@@ -219,13 +225,8 @@ def alexander_dual(c: Complex) -> Complex:
     full simplex is the void complex and vice versa, which keeps the operation
     total and an involution.
     """
-    return _dual_from_nonfaces(c.universe, minimal_nonfaces(c))
-
-
-def _dual_from_nonfaces(universe: VertexSet, nonfaces: Iterable[int]) -> Complex:
-    """The dual complex whose facets complement the given minimal non-faces."""
-    full = universe.full_mask
-    return Complex(universe, _canonical(full ^ m for m in nonfaces))
+    full = c.universe.full_mask
+    return Complex(c.universe, _canonical(full ^ m for m in c._nonfaces))
 
 
 def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
@@ -285,11 +286,7 @@ def pure_skeleton(c: Complex, i: int) -> Complex:
 
 def is_flag(c: Complex) -> bool:
     """True iff every minimal non-face has exactly two elements (vacuous for the full simplex)."""
-    return _flag_from_nonfaces(minimal_nonfaces(c))
-
-
-def _flag_from_nonfaces(nonfaces: Iterable[int]) -> bool:
-    return all(m.bit_count() == 2 for m in nonfaces)
+    return all(m.bit_count() == 2 for m in c._nonfaces)
 
 
 def _faces_by_size(facets: Sequence[int]) -> list:

@@ -25,15 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .complexes import (
-    Complex,
-    _dual_from_nonfaces,
-    _flag_from_nonfaces,
-    minimal_nonfaces,
-    restrict_to_support,
-)
+from .complexes import Complex, alexander_dual, is_flag, restrict_to_support
 from .homology import DEFAULT_FIELDS, Field, is_sequentially_cm
-from .orders import Undecided, _strong_gcd_via_dual, find_shelling_order
+from .orders import Undecided, find_shelling_order, find_strong_gcd_order
 
 __all__ = [
     "TRUE",
@@ -162,9 +156,9 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
     the Stanley-Reisner ideal and do not change the quotient ring.  When the
     per-field verdicts disagree the slot stays undecided and the note records
     the split.  A search that runs out of ``orders.NODE_BUDGET`` leaves its
-    slot unknown, with an "undecided" note, rather than guessing.  The
-    minimal non-faces are computed once; the flag bit, the dual and the
-    strong gcd search all derive from them.
+    slot unknown, with an "undecided" note, rather than guessing.  The flag
+    bit, the dual and the strong gcd search all read the minimal non-faces
+    of c, which the complex computes once (see ``minimal_nonfaces``).
 
     A field listed twice is swept once.  Q is recorded as sequentially CM
     without its own sweep once a prime field listed before it has said so:
@@ -172,9 +166,8 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
     vanishes over Q (see ``homology``).  A failing prime field says nothing
     about Q, so Q is then computed.
     """
-    nonfaces = minimal_nonfaces(c)
-    table = FactTable(c, flag=_flag_from_nonfaces(nonfaces), ghost_free=not c.has_ghost_vertices)
-    dual = _dual_from_nonfaces(c.universe, nonfaces)
+    table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
+    dual = alexander_dual(c)
 
     try:
         cert = find_shelling_order(dual)
@@ -183,7 +176,7 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
         table.slots["dual_shellable"].note = "undecided: %s" % e
 
     try:
-        cert = _strong_gcd_via_dual(c, dual)
+        cert = find_strong_gcd_order(c)
         table._set("strong_gcd", TRUE if cert else FALSE, "computed")
     except Undecided as e:
         table.slots["strong_gcd"].note = "undecided: %s" % e

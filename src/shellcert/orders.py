@@ -314,16 +314,17 @@ def _shelling_moves(facets: Sequence[int], full: int):
 def _weak_moves(facets: Sequence[int], full: int):
     """The weak condition as a moves function, or None when it is refuted.
 
-    For each facet the full-union partners l are listed with their saver
-    sets sigma(x, l), each an AND of incidence masks.  An empty saver set
-    refutes the instance; otherwise a free facet, if any, is the only branch.
+    For each facet x the full-union partners l other than x itself are
+    listed with their saver sets sigma(x, l), each an AND of incidence masks.
+    An empty saver set refutes the instance; otherwise a free facet, if any,
+    is the only branch.
     """
     r = len(facets)
     goal = (1 << r) - 1
     contain = _incidence(facets, full)
     partners = []  # partners[x]: (bit of l, sigma(x, l)) for each full-union partner l
     for x, F in enumerate(facets):
-        mates = goal
+        mates = goal & ~(1 << x)
         for v in _bit_indices(full & ~F):
             mates &= contain[v]
         row = []
@@ -380,14 +381,12 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
 def find_weak_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     """A weak shelling order of c, or None when provably none exists.
 
-    When no two facets union to the universe the identity order is returned
-    without a search: every order qualifies.  A full-union pair with no
-    possible saver returns None without a search.  None is a proof at any
-    size; Undecided is raised when the search visits ``NODE_BUDGET``
-    prefix-sets without an answer.
+    When no two facets union to the universe every facet is free, so the
+    free-facet rule places them in index order and the identity order is
+    returned.  A full-union pair with no possible saver returns None without
+    a search.  None is a proof at any size; Undecided is raised when the
+    search visits ``NODE_BUDGET`` prefix-sets without an answer.
     """
-    if is_trivially_weakly_shellable(c):
-        return OrderCertificate(WEAK_SHELLING, c, tuple(c.facets))
     return _search(c, WEAK_SHELLING, _weak_moves)
 
 
@@ -400,12 +399,7 @@ def find_strong_gcd_order(c: Complex) -> Optional[OrderCertificate]:
     None is a proof at any size; Undecided is raised when the search of the
     dual visits ``NODE_BUDGET`` prefix-sets without an answer.
     """
-    return _strong_gcd_via_dual(c, alexander_dual(c))
-
-
-def _strong_gcd_via_dual(c: Complex, dual: Complex) -> Optional[OrderCertificate]:
-    """``find_strong_gcd_order`` for a caller that already holds c's dual."""
-    weak = find_weak_shelling_order(dual)
+    weak = find_weak_shelling_order(alexander_dual(c))
     if weak is None:
         return None
     full = c.universe.full_mask

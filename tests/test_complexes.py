@@ -81,6 +81,23 @@ class TestMinimalNonfaces:
             got = {c.universe.members(m) for m in sc.minimal_nonfaces(c)}
             assert got == expected
 
+    def test_returned_list_is_fresh(self):
+        c = cx(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}])
+        first = sc.minimal_nonfaces(c)
+        expected = list(first)
+        first.append(0)
+        first.reverse()
+        assert sc.minimal_nonfaces(c) == expected
+
+    def test_computed_nonfaces_leave_equality_hash_and_repr(self):
+        for c in seeded_complexes(40, seed=1618, n_range=(3, 7)):
+            fresh = sc.Complex(c.universe, c.facets)
+            sc.minimal_nonfaces(c)
+            assert c == fresh and fresh == c
+            assert hash(c) == hash(fresh)
+            assert repr(c) == repr(fresh)
+            assert {c: 1}[fresh] == 1
+
 
 class TestAlexanderDual:
     def test_bundled_example(self):

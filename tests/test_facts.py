@@ -111,24 +111,22 @@ class TestBuildFactTable:
                 assert t.slots[name].value in (exact.slots[name].value, UNKNOWN)
 
     def test_nonfaces_computed_once_per_table(self, monkeypatch):
-        import sys
         from shellcert import catalog, complexes
 
-        original = complexes.minimal_nonfaces
+        original = complexes._minimal_transversals
         calls = []
 
-        def counting(c):
-            calls.append(c)
-            return original(c)
+        def counting(family):
+            calls.append(sorted(family))
+            return original(family)
 
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "shellcert" and getattr(mod, "minimal_nonfaces", None) is original:
-                monkeypatch.setattr(mod, "minimal_nonfaces", counting)
+        monkeypatch.setattr(complexes, "_minimal_transversals", counting)
         for maker in catalog.FIXTURES.values():
             c = maker()
             calls.clear()
             build_fact_table(c)
-            assert calls == [c]
+            full = c.universe.full_mask
+            assert calls == [sorted(full ^ f for f in c.facets)]
 
     def test_sequential_cm_sweeps_per_table(self, monkeypatch):
         from shellcert import catalog, facts

@@ -132,7 +132,7 @@ class TestFindShelling:
 
 
 class TestFindWeak:
-    def test_trivial_shortcut_returns_identity(self):
+    def test_trivially_weak_returns_identity(self):
         from shellcert.catalog import dunce_hat
         d = dunce_hat()
         cert = sc.find_weak_shelling_order(d)
@@ -142,6 +142,21 @@ class TestFindWeak:
         c = cx(3, [{1, 2}])
         cert = sc.find_weak_shelling_order(c)
         assert cert.sequence == c.facets
+
+    def test_a_facet_is_not_its_own_full_union_partner(self):
+        full_simplex = cx(3, [{1, 2, 3}])
+        empty_complex = sc.from_facets(VertexSet.of(()), [()])
+        assert empty_complex.facets == (0,) and empty_complex.universe.full_mask == 0
+        for c in (full_simplex, empty_complex):
+            assert _weak_moves(c.facets, c.universe.full_mask) is not None
+            assert sc.find_weak_shelling_order(c).sequence == c.facets
+
+    def test_identity_order_from_the_free_facet_rule(self):
+        cases = seeded_complexes(1000, seed=2718, n_range=(4, 9), density=(0.1, 0.6),
+                                 accept=sc.is_trivially_weakly_shellable)
+        assert max(len(c.facets) for c in cases) >= 10
+        for c in cases:
+            assert sc.find_weak_shelling_order(c).sequence == c.facets
 
     def test_triangle_boundary_none(self):
         c = cx(3, [{1, 2}, {2, 3}, {1, 3}])
@@ -168,6 +183,24 @@ class TestFindStrongGcd:
         nf = sc.minimal_nonfaces(c)
         assert len(nf) == 6
         assert not any(sc.check_strong_gcd_order(c, p).ok for p in permutations(nf))
+
+    def test_checking_every_order_computes_the_nonfaces_once(self, monkeypatch):
+        from shellcert import complexes
+        from shellcert.catalog import gcd_violator
+
+        original = complexes._minimal_transversals
+        calls = []
+
+        def counting(family):
+            calls.append(family)
+            return original(family)
+
+        c = gcd_violator()
+        monkeypatch.setattr(complexes, "_minimal_transversals", counting)
+        orders = list(permutations(sc.minimal_nonfaces(c)))
+        assert len(orders) == 720
+        assert not any(sc.check_strong_gcd_order(c, p).ok for p in orders)
+        assert len(calls) <= 1
 
     def test_at_most_one_nonface_trivial(self):
         c = cx(3, [{1, 2, 3}])  # full simplex: zero non-faces

@@ -1,7 +1,9 @@
 """Package-wide properties: no state outlives a call, no environment variable
-changes behaviour, the README names every fixture, and the benchmark's own
-corruption checks still run."""
+changes behaviour, the layers above duality and search use only the public
+API, the README names every fixture, and the benchmark's own corruption
+checks still run."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -33,6 +35,27 @@ def test_no_environment_knobs():
     knobs = [p.name for p in sorted((ROOT / "src" / "shellcert").glob("*.py"))
              if re.search(r"os\.environ|os\.getenv", p.read_text(encoding="utf-8"))]
     assert knobs == []
+
+
+def test_upper_layers_use_only_public_names():
+    # facts, verify, cli and hunt reach duality and search the way any user does
+    private = []
+    for module in ("facts", "verify", "cli", "hunt"):
+        path = ROOT / "src" / "shellcert" / (module + ".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    if alias.name.startswith("_"):
+                        private.append("%s: %s" % (module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")):
+                private.append("%s: %s.%s" % (module, node.value.id, node.attr))
+    assert private == []
 
 
 def test_readme_names_every_fixture():
