@@ -16,7 +16,6 @@ from .complexes import (
     all_faces,
     from_facets,
     from_minimal_nonfaces,
-    intersection_with_prefix,
     is_flag,
     link,
     minimal_nonfaces,
@@ -63,7 +62,7 @@ __all__ = [
     "VOID_DIM", "InputError", "VertexSet", "Complex",
     "from_facets", "from_minimal_nonfaces", "minimal_nonfaces", "alexander_dual",
     "link", "pure_skeleton", "is_flag", "all_faces",
-    "reduced_euler_characteristic", "intersection_with_prefix", "restrict_to_support",
+    "reduced_euler_characteristic", "restrict_to_support",
     "SHELLING", "WEAK_SHELLING", "STRONG_GCD",
     "OrderCertificate", "CheckReport", "StepWitness", "PairWitness", "Undecided",
     "check_shelling_order", "check_weak_shelling_order", "check_strong_gcd_order",

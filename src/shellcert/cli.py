@@ -88,9 +88,9 @@ def _fmt_face(c: Complex, mask: int) -> str:
 
 
 def _parse_order(c: Complex, spec: str, items) -> list:
-    """An order given as comma-separated 0-based positions into the canonical list."""
+    """An order given as comma-separated 0-based positions into the canonical list; "" is empty."""
     try:
-        idx = [int(t) for t in spec.split(",")]
+        idx = [int(t) for t in spec.split(",")] if spec else []
     except ValueError:
         raise InputError("--order must be comma-separated integer positions")
     if sorted(idx) != list(range(len(items))):

@@ -33,7 +33,6 @@ __all__ = [
     "is_flag",
     "all_faces",
     "reduced_euler_characteristic",
-    "intersection_with_prefix",
     "restrict_to_support",
 ]
 
@@ -320,17 +319,6 @@ def all_faces(c: Complex) -> tuple:
 def reduced_euler_characteristic(c: Complex) -> int:
     """Alternating face count including the empty face; 0 for the void complex."""
     return sum(len(layer) if k % 2 else -len(layer) for k, layer in enumerate(_faces_by_size(c.facets)))
-
-
-def intersection_with_prefix(c: Complex, order: Sequence[int], j: int) -> Complex:
-    """The complex <F_j> intersected with <F_0,...,F_{j-1}> for a facet order.
-
-    Its facets are the maximal elements of {F_j & F_i : i < j}.  For j == 0
-    the prefix is empty and the result is the void complex.
-    """
-    if not 0 <= j < len(order):
-        raise InputError("order position %d out of range" % j)
-    return from_facets(c.universe, (order[j] & order[i] for i in range(j)))
 
 
 def restrict_to_support(c: Complex) -> Complex:

@@ -12,12 +12,11 @@ counters show where the candidates died.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
 
 from .complexes import Complex, alexander_dual, restrict_to_support
 from .formats import to_json_document
 from .generators import random_complex
-from .homology import DEFAULT_FIELDS, Field, is_sequentially_cm
+from .homology import DEFAULT_FIELDS, is_sequentially_cm
 from .orders import Undecided, find_weak_shelling_order, is_trivially_weakly_shellable
 
 __all__ = ["STAGES", "HuntReport", "screen_candidate", "hunt_counterexample"]
@@ -32,6 +31,9 @@ STAGES = (
     "not-sequentially-cm",
     "hit",
 )
+
+# Universe sizes of the sampled complexes, taken in turn.
+_N_VERTICES = (5, 6, 7, 8)
 
 
 @dataclass
@@ -58,7 +60,7 @@ class HuntReport:
         return "\n".join(lines)
 
 
-def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> str:
+def screen_candidate(c: Complex) -> str:
     """Run one complex through the pipeline and name the stage it ends in.
 
     Candidates with a facet missing at most one vertex are discarded first:
@@ -67,7 +69,7 @@ def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> st
     (two edges of a path already do it), which is noise rather than an answer.
     The weak-shellability filters run before the (expensive, field-sensitive)
     sequential-CM test; a hit must be sequentially Cohen-Macaulay over every
-    requested field yet admit no weak shelling order.
+    field of ``DEFAULT_FIELDS`` yet admit no weak shelling order.
     """
     c = restrict_to_support(c)
     if c.is_void or c.dim == -1:
@@ -82,19 +84,19 @@ def screen_candidate(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> st
         return "undecided"
     if cert is not None:
         return "weak-order-found"
-    for f in fields:
+    for f in DEFAULT_FIELDS:
         if not is_sequentially_cm(c, f):
             return "not-sequentially-cm"
     return "hit"
 
 
-def hunt_counterexample(seed: int, budget: int, n_vertices: Sequence[int] = (5, 6, 7, 8),
-                        fields: Sequence[Field] = DEFAULT_FIELDS) -> HuntReport:
+def hunt_counterexample(seed: int, budget: int) -> HuntReport:
     """Screen ``budget`` seeded candidates; deterministic for a fixed seed.
 
     Each candidate is the Alexander dual of a random complex restricted to
-    its support; every complex in the search space arises this way.  Many
-    samples are discarded before screening.  ``random_complex`` can return
+    its support; the random complexes take 5, 6, 7 and 8 vertices in turn.
+    Every complex in the search space arises this way.  Many samples are
+    discarded before screening.  ``random_complex`` can return
     the full simplex, whose dual is void (``degenerate``).  A random complex
     with a facet missing one vertex has a dual with that vertex as a ghost;
     restricted to its support, the dual then has a facet missing at most one
@@ -104,13 +106,12 @@ def hunt_counterexample(seed: int, budget: int, n_vertices: Sequence[int] = (5, 
     sampling order.
     """
     report = HuntReport(seed=seed, budget=budget)
-    sizes = list(n_vertices)
     for i in range(budget):
         sub = seed * 1_000_003 + i
-        n = sizes[i % len(sizes)]
+        n = _N_VERTICES[i % len(_N_VERTICES)]
         density = 0.35 + 0.5 * ((sub % 97) / 97.0)
         c = alexander_dual(restrict_to_support(random_complex(sub, n, density)))
-        stage = screen_candidate(c, fields=fields)
+        stage = screen_candidate(c)
         report.counts[stage] += 1
         if stage == "hit":
             report.hits.append(restrict_to_support(c))

@@ -50,8 +50,9 @@ from .complexes import (
     Complex,
     InputError,
     _bit_indices,
+    _canonical,
+    _maximal,
     alexander_dual,
-    intersection_with_prefix,
     minimal_nonfaces,
 )
 
@@ -141,13 +142,20 @@ def _as_sequence(c: Complex, order, expected: Sequence[int], what: str) -> tuple
 
 
 def check_shelling_order(c: Complex, order) -> CheckReport:
-    """Validate a shelling order of c's facets."""
+    """Validate a shelling order of c's facets.
+
+    Position j passes when every maximal element of {F_j & F_i : i < j} has
+    |F_j| - 1 elements: those elements are the facets of <F_j> intersected
+    with <F_0, ..., F_{j-1}>, which must be pure of dimension dim F_j - 1.
+    The witness of the first failing position lists them in canonical order.
+    """
     seq = _as_sequence(c, order, c.facets, "facets")
     for j in range(1, len(seq)):
-        need = seq[j].bit_count() - 1
-        inter = intersection_with_prefix(c, seq, j)
-        if any(m.bit_count() != need for m in inter.facets):
-            return CheckReport(False, StepWitness(j, inter.facets, need - 1))
+        F = seq[j]
+        need = F.bit_count() - 1
+        inter = _maximal([F & G for G in seq[:j]])
+        if any(m.bit_count() != need for m in inter):
+            return CheckReport(False, StepWitness(j, _canonical(inter), need - 1))
     return CheckReport(True)
 
 
@@ -207,7 +215,7 @@ def _incidence(facets: Sequence[int], full: int) -> list:
     return contain
 
 
-def _search_order(r: int, moves, budget: int):
+def _search_order(r: int, moves):
     """Iterative depth-first search over prefix-sets of r items.
 
     ``moves(state, added, parent)`` returns the index mask of the items to
@@ -216,9 +224,10 @@ def _search_order(r: int, moves, budget: int):
     root all three are 0.  Branches are tried in index order, so the first
     completed order is deterministic.  Returns the order as a list of
     indices, None when the whole reachable region was exhausted, or raises
-    Undecided when more than ``budget`` prefix-sets would be visited.
+    Undecided when more than ``NODE_BUDGET`` prefix-sets would be visited.
     """
     goal = (1 << r) - 1
+    budget = NODE_BUDGET
     dead: set[int] = set()
     placed: list[int] = []   # item bits in the order they were appended
     given: list[int] = []    # per depth: the mask moves() returned
@@ -363,7 +372,7 @@ def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:
     moves = condition(facets, c.universe.full_mask)
     if moves is None:
         return None
-    idx_order = _search_order(len(facets), moves, NODE_BUDGET)
+    idx_order = _search_order(len(facets), moves)
     if idx_order is None:
         return None
     return OrderCertificate(kind, c, tuple(facets[i] for i in idx_order))

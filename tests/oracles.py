@@ -88,3 +88,19 @@ def euler_from_faces(facet_sets):
     """Reduced Euler characteristic by counting faces, empty face included."""
     faces = {s for f in facet_sets for s in powerset(frozenset(f))}
     return sum(-1 if len(s) % 2 == 0 else 1 for s in faces)
+
+
+def brute_shelling_failure(order):
+    """First failing position of a facet order given as label sets, or None.
+
+    Position j fails unless the faces of F_j lying in some earlier facet form
+    a complex pure of dimension dim F_j - 1.  Returns (j, its facets), the
+    facets as frozensets, by listing every subset of F_j.
+    """
+    order = [frozenset(f) for f in order]
+    for j in range(1, len(order)):
+        faces = [s for s in powerset(order[j]) if any(s <= f for f in order[:j])]
+        tops = [s for s in faces if not any(s < t for t in faces)]
+        if any(len(s) != len(order[j]) - 1 for s in tops):
+            return j, tops
+    return None

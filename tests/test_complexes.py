@@ -262,12 +262,6 @@ class TestHelpers:
         c = cx(2, [{1}, {2}])
         assert sc.reduced_euler_characteristic(c) == 1
 
-    def test_intersection_with_prefix(self):
-        c = cx(4, [{1, 2, 3}, {2, 3, 4}])
-        inter = sc.intersection_with_prefix(c, list(c.facets), 1)
-        assert inter.facet_members() == [(2, 3)]
-        assert sc.intersection_with_prefix(c, list(c.facets), 0).is_void
-
     def test_restrict_to_support(self):
         c = cx(5, [{2, 4}])
         r = sc.restrict_to_support(c)

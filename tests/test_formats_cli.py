@@ -156,6 +156,24 @@ class TestCli:
         assert code == 2
         assert "input error" in err
 
+    def test_check_accepts_the_empty_order_find_prints(self, capsys, tmp_path):
+        simplex = tmp_path / "simplex.json"
+        simplex.write_text('{"vertices":[1,2,3], "facets":[[1,2,3]]}')
+        void = tmp_path / "void.json"
+        void.write_text('{"vertices":[1,2,3], "facets":[]}')
+        for condition, path in (("sgcd", simplex), ("shelling", void)):
+            code, out, _ = self.run(["find", condition, str(path)], capsys)
+            assert code == 0 and out.splitlines()[1:] == []
+            code, out, _ = self.run(["check", condition, str(path), "--order", ""], capsys)
+            assert code == 0 and out.startswith("valid")
+
+    def test_check_empty_order_with_items_is_input_error(self, capsys):
+        for condition in ("shelling", "sgcd"):
+            code, _, err = self.run(
+                ["check", condition, "--order", "", "--fixture", "pentagon"], capsys)
+            assert code == 2
+            assert "permutation" in err
+
     def test_find_exit_codes(self, capsys):
         assert self.run(["find", "shelling", "--fixture", "dunce-hat"], capsys)[0] == 1
         code, out, _ = self.run(["find", "weak", "--fixture", "dunce-hat"], capsys)

@@ -87,6 +87,18 @@ class TestHunt:
         assert report.counts["degenerate"] > 0
         assert report.counts["oversized-facet"] > 0
 
+    @pytest.mark.parametrize("seed, budget, counts", [
+        (1, 500, (174, 157, 5, 149, 0, 15, 0)),
+        (3, 200, (75, 64, 1, 56, 0, 4, 0)),
+        (4, 200, (75, 44, 1, 78, 0, 2, 0)),
+        (6, 200, (72, 59, 2, 60, 0, 7, 0)),
+        (7, 200, (76, 57, 5, 57, 0, 5, 0)),
+    ])
+    def test_stage_counts_at_benchmark_seeds(self, seed, budget, counts):
+        # counts in STAGES order; seed 1 is the docstring's 174 degenerate, 157 oversized
+        report = hunt_counterexample(seed, budget)
+        assert tuple(report.counts[s] for s in STAGES) == counts
+
     def test_report_text(self):
         report = hunt_counterexample(2, 20)
         text = report.as_text()

@@ -1,16 +1,33 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
 
 import shellcert as sc
+from shellcert.catalog import FIXTURES
 from shellcert.complexes import VertexSet
 from shellcert.orders import _weak_moves
 
 from conftest import seeded_complexes
+from oracles import brute_shelling_failure
 
 
 def cx(n, facets):
     return sc.from_facets(VertexSet.of(range(1, n + 1)), facets)
+
+
+def canonical_masks(c, sets):
+    return tuple(sorted((c.universe.mask(s) for s in sets), key=lambda m: (m.bit_count(), m)))
+
+
+def oracle_report(c, order):
+    """The CheckReport the shelling validator owes an order, from the oracle."""
+    sets = [c.universe.members(F) for F in order]
+    failure = brute_shelling_failure(sets)
+    if failure is None:
+        return sc.CheckReport(True)
+    j, tops = failure
+    return sc.CheckReport(False, sc.StepWitness(j, canonical_masks(c, tops), len(sets[j]) - 2))
 
 
 class TestCheckShelling:
@@ -44,11 +61,52 @@ class TestCheckShelling:
             if rep.ok:
                 continue
             j = rep.witness.step
-            inter = sc.intersection_with_prefix(c, p, j)
-            assert inter.facets == rep.witness.intersection
+            _, tops = brute_shelling_failure([c.universe.members(F) for F in p[:j + 1]])
+            assert rep.witness.intersection == canonical_masks(c, tops)
             need = p[j].bit_count() - 2
             assert rep.witness.required_dim == need
-            assert any(m.bit_count() - 1 != need for m in inter.facets)
+            assert any(m.bit_count() - 1 != need for m in rep.witness.intersection)
+
+    def test_reports_match_oracle_on_seeded_orders(self):
+        rng = random.Random(5150)
+        cases = seeded_complexes(500, seed=5150, n_range=(4, 8), density=(0.2, 0.7),
+                                 accept=lambda c: len(c.facets) >= 2)
+        assert any(not c.is_pure for c in cases)
+        for c in cases:
+            for _ in range(4):
+                order = list(c.facets)
+                rng.shuffle(order)
+                assert sc.check_shelling_order(c, order) == oracle_report(c, order)
+
+    def test_reports_match_oracle_on_every_permutation(self, small_complexes):
+        fixtures = [make() for make in FIXTURES.values()]
+        cases = [c for c in small_complexes + fixtures if len(c.facets) <= 5]
+        assert len(cases) > 50 and any(not c.is_pure for c in cases)
+        for c in cases:
+            for p in permutations(c.facets):
+                assert sc.check_shelling_order(c, p) == oracle_report(c, p)
+
+    def test_k48_two_block_order_fails_where_the_second_block_starts(self):
+        c = sc.from_facets(VertexSet.of(range(48)), combinations(range(48), 2))
+        low, high = (1 << 24) - 1, ((1 << 24) - 1) << 24
+        first = [F for F in c.facets if F & low == F]
+        order = first + [F for F in c.facets if F & high == F]
+        order += [F for F in c.facets if F not in order]
+        rep = sc.check_shelling_order(c, order)
+        assert rep == sc.CheckReport(False, sc.StepWitness(len(first), (0,), 0))
+
+    def test_builds_no_complex(self, monkeypatch):
+        c = cx(5, [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {1, 5}])
+        built = []
+        init = sc.Complex.__init__
+        from_facets = sc.complexes.from_facets
+        monkeypatch.setattr(sc.Complex, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        monkeypatch.setattr(sc.complexes, "from_facets",
+                            lambda *a, **k: built.append(a) or from_facets(*a, **k))
+        for p in permutations(c.facets):
+            sc.check_shelling_order(c, p)
+        assert built == []
 
 
 class TestCheckWeakShelling:

@@ -17,16 +17,19 @@ from shellcert.catalog import FIXTURES
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _submodules():
+    for info in pkgutil.walk_packages(shellcert.__path__, "shellcert."):
+        if info.name != "shellcert.__main__":  # importing it runs the CLI
+            yield importlib.import_module(info.name)
+
+
 def test_no_module_level_cache():
     # a functools cache keeps every argument and result for the life of the process
     cached = []
-    for info in pkgutil.walk_packages(shellcert.__path__, "shellcert."):
-        if info.name == "shellcert.__main__":  # importing it runs the CLI
-            continue
-        module = importlib.import_module(info.name)
+    for module in _submodules():
         for name, obj in vars(module).items():
             if callable(obj) and hasattr(obj, "cache_info"):
-                cached.append("%s.%s" % (info.name, name))
+                cached.append("%s.%s" % (module.__name__, name))
     assert cached == []
 
 
@@ -56,6 +59,18 @@ def test_upper_layers_use_only_public_names():
                     and node.value.id in siblings and node.attr.startswith("_")):
                 private.append("%s: %s.%s" % (module, node.value.id, node.attr))
     assert private == []
+
+
+def test_every_export_resolves():
+    # a public name deleted from a module must not linger in an __all__
+    missing = []
+    for module in [shellcert, *_submodules()]:
+        missing += ["%s.%s" % (module.__name__, n) for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert missing == []
+    namespace = {}
+    exec("from shellcert import *", namespace)
+    assert set(shellcert.__all__) <= set(namespace)
 
 
 def test_readme_names_every_fixture():
