@@ -2,7 +2,7 @@
 
 Subcommands operate on a complex document (JSON or plain text, see
 ``formats``) given as a file path, ``-`` for stdin, or ``--fixture NAME`` for
-a bundled catalog complex.
+a bundled catalog complex; exactly one of them.
 
 Exit codes: 0 the property holds / verification passed, 1 the property fails
 or a counterexample was found, 2 input error, 3 undecided (an order search
@@ -64,14 +64,14 @@ def _conditions() -> dict:
 
 
 def _load(args) -> Complex:
-    if getattr(args, "fixture", None):
+    if bool(args.fixture) == bool(args.input):
+        raise InputError("give one input: a file path, '-' for stdin, or --fixture NAME")
+    if args.fixture:
         maker = catalog.FIXTURES.get(args.fixture)
         if maker is None:
             raise InputError("unknown fixture %r (have: %s)"
                              % (args.fixture, ", ".join(sorted(catalog.FIXTURES))))
         return maker()
-    if not getattr(args, "input", None):
-        raise InputError("no input: give a file path, '-' for stdin, or --fixture NAME")
     try:
         if args.input == "-":
             text = sys.stdin.read()

@@ -114,13 +114,13 @@ def _maximal(masks: Iterable[int]) -> list:
     return out
 
 
-def _minimal(masks: Iterable[int]) -> list:
-    ms = sorted(set(masks), key=lambda m: m.bit_count())
-    out: list[int] = []
-    for m in ms:
-        if not any(m & o == o for o in out):
-            out.append(m)
-    return out
+def _incidence(sets: Sequence[int], full: int) -> list:
+    """contain[v]: the index mask of the sets that contain vertex v, for v in full."""
+    contain = [0] * full.bit_length()
+    for i, F in enumerate(sets):
+        for v in _bit_indices(F):
+            contain[v] |= 1 << i
+    return contain
 
 
 @dataclass(frozen=True)
@@ -185,24 +185,41 @@ def from_facets(universe: VertexSet, candidate_faces: Iterable) -> Complex:
 def _minimal_transversals(family: Sequence[int]) -> list:
     """Inclusion-minimal hitting sets of a family of bitmask sets.
 
-    Incremental Berge product: fold in one set at a time, extending each
-    partial transversal that misses it by one element, with absorption after
-    every step.  Exponential in the worst case; intended for desk-scale
-    inputs (tens of sets over a few dozen vertices).
+    MMCS (Murakami and Uno, "Efficient algorithms for dualizing large-scale
+    hypergraphs", Discrete Appl. Math. 170, 2014).  A node is a partial
+    transversal T, its candidates, the sets T misses, and for each member of
+    T its critical sets: those T meets in that member alone.  The node
+    branches on the missed set with the fewest candidates.  Each candidate v
+    in it is tried in turn, and is then returned to the candidates of the
+    branches after it, so every minimal transversal is reached once.  A
+    child T + v is kept only while every member still has a critical set;
+    that is exactly the minimality of T + v among the sets it hits.  A node
+    missing no set is therefore a minimal transversal.  An empty family
+    gives [0]; a family containing 0 gives [].
+
+    The stack is explicit because the depth is the size of the transversal,
+    which can exceed Python's recursion limit (the boundary of a simplex has
+    the whole universe as its one minimal non-face).  Callers canonicalise,
+    so the output order is left unspecified.
     """
-    if any(s == 0 for s in family):
-        return []
-    trans = [0]
-    for s in sorted(family, key=lambda m: m.bit_count()):
-        nxt = []
-        for t in trans:
-            if t & s:
-                nxt.append(t)
-            else:
-                for i in _bit_indices(s):
-                    nxt.append(t | (1 << i))
-        trans = _minimal(nxt)
-    return trans
+    full = (1 << max(family, default=0).bit_length()) - 1  # every vertex of every set
+    contain = _incidence(family, full)
+    out = []
+    stack = [(0, full, (1 << len(family)) - 1, [])]
+    while stack:
+        t, cand, missed, crit = stack.pop()
+        if not missed:
+            out.append(t)
+            continue
+        branch = min([family[e] & cand for e in _bit_indices(missed)], key=int.bit_count)
+        cand &= ~branch
+        for v in _bit_indices(branch):
+            hit = contain[v]
+            kept = [c & ~hit for c in crit]
+            if all(kept):
+                stack.append((t | 1 << v, cand, missed & ~hit, kept + [missed & hit]))
+            cand |= 1 << v
+    return out
 
 
 def minimal_nonfaces(c: Complex) -> list:
@@ -273,8 +290,6 @@ def pure_skeleton(c: Complex, i: int) -> Complex:
     k = i + 1
     for F in c.facets:
         bits = [1 << j for j in _bit_indices(F)]
-        if len(bits) < k:
-            continue
         for combo in combinations(bits, k):
             m = 0
             for b in combo:

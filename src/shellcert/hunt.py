@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import Complex, alexander_dual, restrict_to_support
+from .complexes import Complex, InputError, alexander_dual, restrict_to_support
 from .formats import to_json_document
 from .generators import random_complex
 from .homology import DEFAULT_FIELDS, is_sequentially_cm
@@ -103,8 +103,10 @@ def hunt_counterexample(seed: int, budget: int) -> HuntReport:
     vertex (``oversized-facet``).  At seed 1 with budget 500, 174 samples end
     in ``degenerate`` and 157 in ``oversized-facet``.  Hits are reported
     sorted by their canonical JSON encoding so the output does not depend on
-    sampling order.
+    sampling order.  A negative budget is an ``InputError``.
     """
+    if budget < 0:
+        raise InputError("hunt budget must be non-negative, got %d" % budget)
     report = HuntReport(seed=seed, budget=budget)
     for i in range(budget):
         sub = seed * 1_000_003 + i

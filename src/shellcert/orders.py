@@ -51,6 +51,7 @@ from .complexes import (
     InputError,
     _bit_indices,
     _canonical,
+    _incidence,
     _maximal,
     alexander_dual,
     minimal_nonfaces,
@@ -204,15 +205,6 @@ def is_trivially_weakly_shellable(c: Complex) -> bool:
             if fs[a] | fs[b] == full:
                 return False
     return True
-
-
-def _incidence(facets: Sequence[int], full: int) -> list:
-    """contain[v]: the index mask of the facets that contain vertex v."""
-    contain = [0] * full.bit_length()
-    for i, F in enumerate(facets):
-        for v in _bit_indices(F):
-            contain[v] |= 1 << i
-    return contain
 
 
 def _search_order(r: int, moves):

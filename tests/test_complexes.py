@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shellcert as sc
-from shellcert.complexes import VertexSet, _maximal, _minimal
+from shellcert.complexes import VertexSet, _maximal, _minimal_transversals
 
 from conftest import facet_sets, seeded_complexes
 from oracles import brute_minimal_nonfaces
@@ -80,6 +82,12 @@ class TestMinimalNonfaces:
                         brute_minimal_nonfaces(c.universe.labels, facet_sets(c))}
             got = {c.universe.members(m) for m in sc.minimal_nonfaces(c)}
             assert got == expected
+
+    def test_k48_one_skeleton(self):
+        c = cx(48, combinations(range(1, 49), 2))
+        expected = [c.universe.mask(t) for t in combinations(range(1, 49), 3)]
+        assert sc.minimal_nonfaces(c) == sorted(expected)
+        assert len(expected) == 17296
 
     def test_returned_list_is_fresh(self):
         c = cx(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}])
@@ -160,6 +168,14 @@ class TestFromMinimalNonfaces:
         u = VertexSet.of(range(5))
         c = sc.from_minimal_nonfaces(u, [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}])
         assert set(c.facet_members()) == {(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)}
+
+    def test_simplex_boundary_on_1200_vertices(self):
+        # the one minimal non-face has 1,200 elements, deeper than the recursion limit
+        u = VertexSet.of(range(1200))
+        full = u.full_mask
+        boundary = sc.from_facets(u, [full ^ 1 << i for i in range(1200)])
+        assert sc.from_minimal_nonfaces(u, [full]) == boundary
+        assert sc.minimal_nonfaces(boundary) == [full]
 
     def test_non_antichain_rejected(self):
         u = VertexSet.of(range(1, 5))
@@ -281,16 +297,27 @@ class TestHelpers:
 # internal helpers are load-bearing enough to pin down directly
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=255), max_size=12))
-def test_maximal_minimal_helpers(masks):
+def test_maximal_helper(masks):
     mx = _maximal(masks)
-    mn = _minimal(masks)
     for m in masks:
         assert any(m & a == m for a in mx)
-        assert any(b & m == b for b in mn)
-    for fam in (mx, mn):
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                assert a & b != a and a & b != b
+    for i, a in enumerate(mx):
+        for b in mx[i + 1:]:
+            assert a & b != a and a & b != b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=255), max_size=10))
+@example([])         # the void complex: its one non-face is the empty set
+@example([0])        # the full simplex: no non-faces
+@example([0, 0b110])
+def test_minimal_transversals_match_brute_force(family):
+    # T meets every set of the family iff T lies in no complement of one
+    facets = [frozenset(v for v in range(8) if not s >> v & 1) for s in family]
+    expected = {frozenset(t) for t in brute_minimal_nonfaces(range(8), facets)}
+    got = _minimal_transversals(family)
+    assert len(got) == len(expected)
+    assert {frozenset(v for v in range(8) if t >> v & 1) for t in got} == expected
 
 
 @settings(max_examples=40, deadline=None)

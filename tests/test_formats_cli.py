@@ -136,6 +136,14 @@ class TestCli:
         rows = {tuple(map(int, ln.split())) for ln in out.strip().splitlines()}
         assert rows == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
 
+    def test_nonfaces_of_k48_one_skeleton(self, capsys, tmp_path):
+        path = tmp_path / "k48.json"
+        path.write_text(json.dumps({"vertices": list(range(48)),
+                                    "facets": [[a, b] for a in range(48) for b in range(a + 1, 48)]}))
+        code, out, _ = self.run(["nonfaces", str(path)], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 17296
+
     def test_flag_exit_codes(self, capsys):
         assert self.run(["flag", "--fixture", "pentagon"], capsys)[0] == 0
         assert self.run(["flag", "--fixture", "strong-gcd-witness"], capsys)[0] == 1
@@ -268,6 +276,11 @@ class TestCli:
         assert code == 0
         assert "no counterexample found" in out
 
+    def test_hunt_negative_budget_is_input_error(self, capsys):
+        code, out, err = self.run(["hunt", "--seed", "1", "--budget", "-3"], capsys)
+        assert code == EX_INPUT
+        assert out == "" and "input error" in err
+
     def test_verify_paper(self, capsys):
         code, out, _ = self.run(["verify-paper"], capsys)
         assert code == 0
@@ -297,6 +310,15 @@ class TestCli:
     def test_unknown_fixture_is_input_error(self, capsys):
         code, _, _ = self.run(["dual", "--fixture", "nope"], capsys)
         assert code == 2
+
+    def test_file_and_fixture_together_is_input_error(self, capsys, tmp_path):
+        # the hollow triangle is not flag; the pentagon fixture is
+        path = tmp_path / "tri.json"
+        path.write_text('{"vertices":[1,2,3], "facets":[[1,2],[2,3],[1,3]]}')
+        assert self.run(["flag", str(path)], capsys)[0] == EX_FAIL
+        code, out, err = self.run(["flag", str(path), "--fixture", "pentagon"], capsys)
+        assert code == EX_INPUT
+        assert out == "" and "input error" in err
 
     def test_undecodable_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"

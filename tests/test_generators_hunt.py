@@ -99,6 +99,11 @@ class TestHunt:
         report = hunt_counterexample(seed, budget)
         assert tuple(report.counts[s] for s in STAGES) == counts
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(sc.InputError):
+            hunt_counterexample(1, -3)
+        assert hunt_counterexample(1, 0).sampled == 0
+
     def test_report_text(self):
         report = hunt_counterexample(2, 20)
         text = report.as_text()

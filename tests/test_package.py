@@ -1,7 +1,7 @@
 """Package-wide properties: no state outlives a call, no environment variable
-changes behaviour, the layers above duality and search use only the public
-API, the README names every fixture, and the benchmark's own corruption
-checks still run."""
+changes behaviour, no function calls itself, the layers above duality and
+search use only the public API, the README names every fixture, and the
+benchmark's own corruption checks still run."""
 
 import ast
 import importlib
@@ -38,6 +38,20 @@ def test_no_environment_knobs():
     knobs = [p.name for p in sorted((ROOT / "src" / "shellcert").glob("*.py"))
              if re.search(r"os\.environ|os\.getenv", p.read_text(encoding="utf-8"))]
     assert knobs == []
+
+
+def test_no_function_calls_itself():
+    # recursion depth is bounded by the interpreter, not by the input: loops
+    # with explicit stacks run as deep as the input needs
+    recursive = []
+    for path in sorted((ROOT / "src" / "shellcert").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                recursive += ["%s: %s" % (path.name, fn.name) for node in ast.walk(fn)
+                              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                              and node.func.id == fn.name]
+    assert recursive == []
 
 
 def test_upper_layers_use_only_public_names():
