@@ -23,6 +23,17 @@ conditions build their tables from per-vertex incidence masks
 (``contain[v]``, the facets containing v), so every table entry is an AND of
 a few such masks.
 
+The shelling condition branches only on the unplaced facets of the largest
+size left.  That loses no answer: listing a shelling's facets by decreasing
+size, keeping their order within a size, is again a shelling (Bjorner-Wachs,
+"Shellable nonpure complexes and posets I", Trans. AMS 348 (1996), Lemma
+2.6).  The weak condition has no such lemma and branches on every
+admissible facet.  The dead-state memo keeps its meaning: every state the
+restricted search reaches holds all facets larger than some size s and some
+of size s, and stable-sorting any shelling that extends such a state S gives
+a restricted shelling whose first |S| facets are S again, so a state with no
+restricted completion has no completion at all.
+
 The weak condition adds two exact rules.  Write sigma(i, j) for the possible
 savers of a full-union pair, the facets k other than i, j with
 F_i & F_j inside F_k.
@@ -266,14 +277,21 @@ def _shelling_moves(facets: Sequence[int], full: int):
     facet contains all of W.  With single[f][v] the facets containing
     F \\ {v} but not v, both tests are a few word operations per vertex.
 
-    Past the first step, adding x changes W, and what contains it, only for
-    facets that meet x, so a child's mask is its parent's outside
-    ``touch[x]`` plus a recheck inside.  When the parent state is empty
-    (``state == added``) every unplaced facet is checked.
+    Only the unplaced facets of the largest size left are branched on, the
+    current *layer* (facets are indexed by increasing size, so it is the
+    layer of the highest unplaced index).  Within a layer, adding x changes
+    W, and what contains it, only for facets that meet x, so a child's mask
+    is its parent's outside ``touch[x]`` plus a recheck inside.  At the
+    first two states (``state == added``, 0 at the root) and when x's layer
+    has just run out, every unplaced facet of the current layer is checked.
     """
     r = len(facets)
     goal = (1 << r) - 1
     contain = _incidence(facets, full)
+    by_size: dict[int, int] = {}
+    for i, F in enumerate(facets):
+        by_size[F.bit_count()] = by_size.get(F.bit_count(), 0) | 1 << i
+    layer = [by_size[F.bit_count()] for F in facets]  # layer[f]: the facets of F_f's size
     rows = []   # rows[f]: (contain[v], single[f][v]) for each vertex v of F_f
     touch = []  # touch[f]: the facets sharing a vertex with F_f
     for F in facets:
@@ -291,13 +309,13 @@ def _shelling_moves(facets: Sequence[int], full: int):
         touch.append(t)
 
     def moves(state: int, added: int, parent: int) -> int:
-        if not state:
-            return goal
-        if state == added:
-            out, check = 0, goal & ~state
+        rest = goal & ~state
+        now = layer[rest.bit_length() - 1]
+        if state == added or not added & now:
+            out, check = 0, rest & now
         else:
             t = touch[added.bit_length() - 1]
-            out, check = parent & ~t, t & ~state
+            out, check = parent & ~t, t & rest & now
         while check:
             low = check & -check
             check ^= low
@@ -373,7 +391,8 @@ def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:
 def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     """A shelling order of c, or None when provably none exists.
 
-    None is a proof at any size; Undecided is raised when the search visits
+    A returned order lists the facets by non-increasing size.  None is a
+    proof at any size; Undecided is raised when the search visits
     ``NODE_BUDGET`` prefix-sets without an answer.
     """
     return _search(c, SHELLING, _shelling_moves)

@@ -62,9 +62,14 @@ def _subset_bfs_has_order(facets, admissible_factory):
 
 
 def _shelling_admissibility(facets):
-    """(state, f) -> may facet f follow prefix-set state, from the engine's condition."""
+    """(state, f) -> may facet f follow prefix-set state, from the engine's condition.
+
+    Pure inputs only: moves() branches on the unplaced facets of the largest
+    size left, so on a non-pure input this would explore a smaller graph.
+    """
+    assert len({F.bit_count() for F in facets}) == 1, "needs a pure complex"
     moves = _shelling_moves(facets, reduce(or_, facets))
-    # an empty parent state makes moves() check every unplaced facet
+    # added == state makes moves() recheck every unplaced facet of the largest size
     return lambda state, f: moves(state, state, 0) >> f & 1
 
 

@@ -182,6 +182,19 @@ class TestFindShelling:
         from shellcert.catalog import dunce_hat
         assert sc.find_shelling_order(dunce_hat()) is None
 
+    def test_certificates_list_facets_by_non_increasing_size(self):
+        def nonpure(c):
+            return len({F.bit_count() for F in c.facets}) > 1
+
+        found = 0
+        for c in seeded_complexes(100, seed=1996, n_range=(4, 9), accept=nonpure):
+            cert = sc.find_shelling_order(c)
+            if cert is not None:
+                sizes = [F.bit_count() for F in cert.sequence]
+                assert sizes == sorted(sizes, reverse=True)
+                found += 1
+        assert found >= 20
+
     def test_first_certificate_is_deterministic(self):
         c = cx(5, [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}])
         a = sc.find_shelling_order(c)
@@ -317,12 +330,13 @@ class TestThreshold:
         assert sc.find_weak_shelling_order(c) is None
 
 
-def weak_order_exists_by_reachability(c):
+def order_exists_by_reachability(c, check):
     """Breadth-first reachability over prefix-sets, using only the checker.
 
     A prefix-set S is reachable with a witness order o(S); appending f is
-    allowed when o(S) + [f] is a weak shelling order of the subcomplex that
-    S and f generate on the same universe (so full-union pairs are the same).
+    allowed when ``check`` accepts o(S) + [f] on the subcomplex that S and f
+    generate on the same universe (so weak full-union pairs are the same).
+    Both order conditions judge f by the set S alone, so one witness suffices.
     """
     key = lambda m: (m.bit_count(), m)
     reach = {frozenset(): ()}
@@ -336,7 +350,7 @@ def weak_order_exists_by_reachability(c):
                     continue
                 order = reach[S] + (f,)
                 sub = sc.Complex(c.universe, tuple(sorted(T, key=key)))
-                if sc.check_weak_shelling_order(sub, order).ok:
+                if check(sub, order).ok:
                     reach[T] = order
                     nxt.append(T)
         frontier = nxt
@@ -414,11 +428,41 @@ class TestEngine:
         for c in cases:
             refuted = _weak_moves(c.facets, c.universe.full_mask) is None
             cert = sc.find_weak_shelling_order(c)
-            assert (cert is not None) == weak_order_exists_by_reachability(c)
+            assert (cert is not None) == order_exists_by_reachability(
+                c, sc.check_weak_shelling_order)
             if cert is not None:
                 assert sc.check_weak_shelling_order(c, cert)
             outcomes.add((refuted, cert is not None))
         assert outcomes == {(True, False), (False, True), (False, False)}
+
+    def test_shelling_search_agrees_with_checker_reachability(self):
+        # several facet sizes, so the search crosses size layers
+        def layered(c):
+            return 6 <= len(c.facets) <= 10 and len({F.bit_count() for F in c.facets}) > 1
+
+        cases = seeded_complexes(60, seed=2718, n_range=(5, 8), accept=layered)
+        cases += map(sc.alexander_dual, seeded_complexes(
+            60, seed=1618, n_range=(5, 8), accept=lambda c: layered(sc.alexander_dual(c))))
+        found = set()
+        for c in cases:
+            cert = sc.find_shelling_order(c)
+            assert (cert is not None) == order_exists_by_reachability(c, sc.check_shelling_order)
+            if cert is not None:
+                assert sc.check_shelling_order(c, cert)
+            found.add(cert is not None)
+        assert found == {True, False}
+
+    def test_nonpure_duals_are_decided_within_a_hundred_states(self, monkeypatch):
+        from shellcert.catalog import dunce_hat
+        monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 100)
+        d = sc.alexander_dual(sc.random_complex(302003101, 9, 0.39556687794512724))
+        cert = sc.find_shelling_order(d)
+        assert cert is not None and sc.check_shelling_order(d, cert)
+        for d in (sc.alexander_dual(sc.random_complex(181242849, 9, 0.3184216913238152)),
+                  sc.alexander_dual(dunce_hat())):
+            assert sc.find_shelling_order(d) is None
+            # a shellable complex is sequentially Cohen-Macaulay
+            assert not sc.is_sequentially_cm(d, sc.GF2).ok
 
     def test_first_certificate_is_deterministic(self):
         for c in seeded_complexes(40, seed=4242, n_range=(4, 8)):
