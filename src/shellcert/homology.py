@@ -40,6 +40,18 @@ Adding a vertex lowers a link's dimension by at least one and links of
 dimension <= 0 pass, so only the costars of links of dimension >= 2 are
 kept, for one size layer at a time.
 
+A cone has no reduced homology, so its link passes without elimination when
+the sweep can see that it is one.  In a pure complex every face lies in a
+facet of top dimension, so the link of s is pure and its facets are t - s
+for the faces t in the top layer of s's costar.  If those faces share a
+vertex outside s, every facet of the link contains it, and the link is a
+cone with that apex.  In a complex that is not pure the top layer may miss
+facets of the link (a triangle plus a point is no cone, though its only
+triangle is), so the rule is applied only to pure sweeps: every skeleton of
+``is_sequentially_cm``, and ``is_cohen_macaulay`` of a pure complex.  A
+cone link still keeps its costar, since the links below it need not be
+cones.
+
 The pure i-skeleton D^[i] is generated by the (i+1)-element faces of D, which
 ``is_sequentially_cm`` takes from its one face list of D; D is sequentially
 Cohen-Macaulay when every D^[i] is Cohen-Macaulay (Duval, Electron. J.
@@ -321,7 +333,7 @@ class CMReport:
 
 
 def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
-                field: Field) -> Optional[CMWitness]:
+                field: Field, pure: bool) -> Optional[CMWitness]:
     """First face (canonical order) of the complex with the given faces (grouped
     by size, as ``_faces_by_size`` lists them) whose link has homology below
     its dimension, or None.
@@ -334,9 +346,13 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
     -1, and a complex with a vertex has rank 0 there.  So costars are kept for
     one size layer and only for links of dimension >= 2; a face whose parent
     kept none has a link of dimension <= 0, and the sweep ends at a layer that
-    keeps none.  Over Q a link is first checked over GF(2) and skipped if it
-    passes there, so only links that fail over GF(2) are eliminated over Q;
-    the first failing face, and so the witness, is unchanged.
+    keeps none.  When ``pure`` says the complex is pure, a link whose facets,
+    the top layer of the costar, share a vertex outside the face is a cone
+    and passes without elimination; its costar is kept first, so the faces
+    below it are still swept.  Over Q a link is first checked over GF(2) and
+    skipped if it passes there, so only links that fail over GF(2) are
+    eliminated over Q; the first failing face, and so the witness, is
+    unchanged.
     """
     kept = {0: faces}
     for layer in faces:
@@ -355,6 +371,12 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                 continue
             if d > 1:
                 costars[sigma] = costar
+            if pure:
+                apex = costar[-1][0]
+                for t in costar[-1]:
+                    apex &= t
+                if apex & ~sigma:  # the link is a cone
+                    continue
             lk = [[t ^ sigma for t in ts] for ts in costar]
             if field.p is None and not any(r for i, r in _reduced_ranks(lk, GF2) if i < d):
                 continue
@@ -379,7 +401,7 @@ def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     if c.has_ghost_vertices:
         ghosts = c.universe.members(c.universe.full_mask ^ c.support)
         return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
-    w = _cm_witness(c.universe, _faces_by_size(c.facets), field)
+    w = _cm_witness(c.universe, _faces_by_size(c.facets), field, c.is_pure)
     return CMReport(w is None, field, witness=w)
 
 
@@ -407,7 +429,7 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     top_faces = layers if c.is_pure else _faces_by_size(layers[top + 1])
     for i in [top] + [i for i in range(top) if len(top_faces[i + 1]) < len(layers[i + 1])]:
         faces = top_faces if i == top else _faces_by_size(layers[i + 1])
-        w = _cm_witness(c.universe, faces, field)
+        w = _cm_witness(c.universe, faces, field, True)
         if w is not None:
             return CMReport(False, field, witness=replace(w, skeleton_dim=i))
     return CMReport(True, field)

@@ -34,6 +34,17 @@ of size s, and stable-sorting any shelling that extends such a state S gives
 a restricted shelling whose first |S| facets are S again, so a state with no
 restricted completion has no completion at all.
 
+Within a layer the shelling condition rechecks only the facets whose answer
+can change.  A facet y may be appended when no placed facet contains W(y),
+the vertices v of y whose ridge y - v lies in a placed facet.  Let x be the
+facet just placed and y an unplaced facet of its size.  If x contains a
+ridge of y (R), the vertex of y outside x joins W(y), and x lacks it, so an
+admissible y stays admissible.  Otherwise, if y meets x (N), W(y) is
+unchanged and only x joins the placed facets, so an inadmissible y stays
+inadmissible.  Otherwise (D) nothing changes.  So only the inadmissible R
+facets and the admissible N facets are rechecked, and every mask equals a
+full recheck (``_shelling_moves`` gives the details).
+
 The weak condition adds two exact rules.  Write sigma(i, j) for the possible
 savers of a full-union pair, the facets k other than i, j with
 F_i & F_j inside F_k.
@@ -280,10 +291,21 @@ def _shelling_moves(facets: Sequence[int], full: int):
     Only the unplaced facets of the largest size left are branched on, the
     current *layer* (facets are indexed by increasing size, so it is the
     layer of the highest unplaced index).  Within a layer, adding x changes
-    W, and what contains it, only for facets that meet x, so a child's mask
-    is its parent's outside ``touch[x]`` plus a recheck inside.  At the
-    first two states (``state == added``, 0 at the root) and when x's layer
-    has just run out, every unplaced facet of the current layer is checked.
+    the answer for an unplaced facet y of x's size only in one direction:
+
+    * R, x contains a ridge of y (y is in ``rd``, the OR of x's ``single``
+      masks): W(y) gains the vertex of y outside x, which x lacks, so x
+      cannot contain the new W(y) and an admissible y stays admissible;
+    * N, otherwise y meets x: W(y) is unchanged and only x joins the placed
+      facets, so an inadmissible y stays inadmissible;
+    * D, otherwise: W(y) is unchanged, and nonempty if y was admissible, so
+      x, which misses y, does not contain it and nothing changes.
+
+    So a child's mask is its parent's on D and R, and only the inadmissible
+    R facets and the admissible N facets are rechecked; every mask equals a
+    full recheck of the layer.  At the first two states (``state ==
+    added``, 0 at the root) and when x's layer has just run out, every
+    unplaced facet of the current layer is checked.
     """
     r = len(facets)
     goal = (1 << r) - 1
@@ -314,8 +336,13 @@ def _shelling_moves(facets: Sequence[int], full: int):
         if state == added or not added & now:
             out, check = 0, rest & now
         else:
-            t = touch[added.bit_length() - 1]
-            out, check = parent & ~t, t & rest & now
+            x = added.bit_length() - 1
+            t = touch[x]
+            rd = 0  # within x's layer: the facets sharing a ridge with F_x
+            for _, sing in rows[x]:
+                rd |= sing
+            out = parent & (~t | rd)
+            check = (rd & ~parent | t & ~rd & parent) & rest & now
         while check:
             low = check & -check
             check ^= low

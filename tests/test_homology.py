@@ -194,11 +194,22 @@ class TestCohenMacaulay:
             sc.is_cohen_macaulay(cx(2, []), sc.QQ)
 
 
+def cone_over(c, apex="a"):
+    """c coned off at a new last vertex ``apex``; the apex link is c itself."""
+    u = VertexSet.of(c.universe.labels + (apex,))
+    return sc.from_facets(u, [set(F) | {apex} for F in c.facet_members()])
+
+
 def cone_over_projective_plane():
-    """RP^2 coned off at a new apex "a"; the apex link is RP^2 itself."""
-    p = projective_plane()
-    u = VertexSet.of(p.universe.labels + ("a",))
-    return sc.from_facets(u, [set(F) | {"a"} for F in p.facet_members()])
+    return cone_over(projective_plane())
+
+
+def edge_join_two_edges():
+    """The join of the edge ab with two disjoint edges: pure, and the first
+    failing link, the two edges at ab, lies under the cone links of the
+    empty face and of b."""
+    return sc.from_facets(VertexSet.of((1, 2, 3, 4, "a", "b")),
+                          [{1, 2, "a", "b"}, {3, 4, "a", "b"}])
 
 
 def oracle_cm_witness(c, p):
@@ -243,8 +254,12 @@ def q_sweep_inputs():
     # the witness must be the first in canonical order
     extra = [projective_plane(), cone_over_projective_plane(),
              cx(7, [{1, 2, 3}, {3, 4, 5}, {5, 6, 7}]), triangle_and_edge()]
-    return extra + seeded_complexes(40, seed=8675309, n_range=(3, 6),
-                                    accept=lambda c: not c.is_void and not c.has_ghost_vertices)
+    # pure inputs with cone links: cone links pass without elimination
+    cones = [edge_join_two_edges()] + [cone_over(c) for c in seeded_complexes(
+        8, seed=1729, n_range=(3, 5),
+        accept=lambda c: c.is_pure and c.dim >= 1 and not c.has_ghost_vertices)]
+    return extra + cones + seeded_complexes(40, seed=8675309, n_range=(3, 6),
+                                            accept=lambda c: not c.is_void and not c.has_ghost_vertices)
 
 
 class TestQSweepAgainstOracle:
@@ -405,6 +420,43 @@ class TestCostarSweep:
                     assert oracle_cm_witness(sc.restrict_to_support(sc.pure_skeleton(c, i)), p) is None
                     checked += 1
         assert checked >= 3 * 40
+
+
+class TestConeLinks:
+    """In a pure sweep a link whose facets share a vertex outside the face is
+    a cone, so it is not eliminated; its costar is still kept."""
+
+    def test_nonpure_complexes_are_not_screened(self):
+        # the top facet of the empty face's costar is a cone; the complex is not
+        triangle_and_point = cx(4, [{1, 2, 3}, {4}])
+        [c] = seeded_complexes(1, seed=1, n_range=(5, 7),
+                               accept=lambda c: (not c.is_void and not c.is_pure
+                                                 and not c.has_ghost_vertices))
+        for f, p in ORACLE_FIELDS:
+            assert sc.is_cohen_macaulay(triangle_and_point, f).witness == sc.CMWitness((), 0, 1)
+            w = sc.is_cohen_macaulay(c, f).witness
+            assert (w.face, w.degree, w.rank) == oracle_cm_witness(c, p)
+        # the sample is one the purity gate decides: a sweep without it passes
+        faces = _faces_by_size(c.facets)
+        assert any(homology._cm_witness(c.universe, faces, f, True) is None for f, _ in ORACLE_FIELDS)
+
+    def test_witness_under_cone_links_is_kept(self):
+        c = edge_join_two_edges()
+        for f, _ in ORACLE_FIELDS:
+            assert sc.is_cohen_macaulay(c, f).witness == sc.CMWitness(("a", "b"), 0, 1)
+            assert sc.is_sequentially_cm(c, f).witness == sc.CMWitness(("a", "b"), 0, 1, 3)
+
+    def test_cone_links_are_not_eliminated(self, monkeypatch):
+        calls = TestCostarSweep.counting(monkeypatch, "_reduced_ranks")
+        for c in (edge_join_two_edges(), cone_over_projective_plane()):
+            faces = _faces_by_size(c.facets)
+            for f, _ in ORACLE_FIELDS:
+                calls.clear()
+                unscreened = homology._cm_witness(c.universe, faces, f, False)
+                every_link = len(calls)
+                calls.clear()
+                assert sc.is_cohen_macaulay(c, f).witness == unscreened
+                assert len(calls) < every_link
 
 
 def clearing_inputs():

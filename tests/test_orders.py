@@ -474,6 +474,48 @@ class TestEngine:
                     assert a.sequence == b.sequence
 
 
+class TestShellingMasks:
+    """The masks of ``_shelling_moves``, which recheck only the facets whose
+    answer can change, against a full recheck of the current layer."""
+
+    def test_every_mask_equals_a_full_recheck(self, monkeypatch):
+        from shellcert import orders
+        from shellcert.catalog import dunce_hat
+
+        real = orders._shelling_moves
+        carried = []  # masks computed from a parent mask in the same layer
+
+        def checked(facets, full):
+            moves = real(facets, full)
+
+            def wrapped(state, added, parent):
+                out = moves(state, added, parent)
+                # added == state makes moves() recheck every unplaced facet of the layer
+                assert out == moves(state, state, 0)
+                if state != added and parent:
+                    carried.append(out)
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(orders, "_shelling_moves", checked)
+        graphs = [sc.from_facets(VertexSet.of(range(n)), combinations(range(n), 2))
+                  for n in range(3, 13)]
+        sample = seeded_complexes(50, seed=5150, n_range=(5, 9),
+                                  accept=lambda c: c.is_pure and len(c.facets) >= 4)
+        sample += seeded_complexes(50, seed=6174, n_range=(5, 9),
+                                   accept=lambda c: not c.is_pure and len(c.facets) >= 4)
+        cases = graphs + sample + [dunce_hat()]
+        for c in cases + [sc.alexander_dual(c) for c in cases]:
+            cert = sc.find_shelling_order(c)
+            if cert is not None:
+                assert sc.check_shelling_order(c, cert)
+        monkeypatch.setattr(orders, "NODE_BUDGET", 2000)
+        with pytest.raises(sc.Undecided):
+            sc.find_shelling_order(cone_over_star_plus_triangle(21))
+        assert len(carried) > 5000
+
+
 class TestAgainstEnumeration:
     def test_dp_matches_permutation_search(self):
         for c in seeded_complexes(120, seed=31337, n_range=(3, 7),
