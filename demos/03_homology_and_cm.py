@@ -23,6 +23,7 @@ print("glued triangles CM:", rep.ok, " witness:", rep.witness)
 print("  the link there:  ", sc.link(glued, rep.witness.face).facet_members())
 
 # characteristic 2 is special for the projective plane
+# (Q ranks come from the GF(2) kernel unless 2-torsion can hide, as here in degrees 1 and 2)
 pp = catalog.projective_plane()
 print("projective plane over GF(2):", sc.reduced_homology(pp, sc.GF2))
 print("projective plane over Q:    ", sc.reduced_homology(pp, sc.QQ))

@@ -162,9 +162,11 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
 
     A field listed twice is swept once.  Q is recorded as sequentially CM
     without its own sweep once a prime field listed before it has said so:
-    by universal coefficients, link homology that vanishes over GF(p)
-    vanishes over Q (see ``homology``).  A failing prime field says nothing
-    about Q, so Q is then computed.
+    by universal coefficients a link's dimension over GF(p) is its dimension
+    over Q plus a count of p-primary torsion (the lemma in the ``homology``
+    module docstring, with p in place of 2), so link homology that vanishes
+    over GF(p) vanishes over Q.  A failing prime field says nothing about Q,
+    so Q is then computed.
     """
     table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
     dual = alexander_dual(c)

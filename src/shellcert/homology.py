@@ -66,13 +66,23 @@ skeleton holds no witness, so the order top, 0, 1, ... gives the same report.
 Only faces are swept, so a vertex in no face of a skeleton plays no part,
 and no face list is kept after the call.
 
-Cohen-Macaulayness over Q is decided at about the cost of GF(2).  By the
-universal coefficient theorem, H~_i(K; GF(p)) is H~_i(K; Z) (x) GF(p) plus
-Tor(H~_{i-1}(K; Z), GF(p)), and the first term alone has dimension at least
-the free rank of H~_i(K; Z), which is dim H~_i(K; Q).  So a link with no
-GF(2) homology below its dimension has none over Q either, and the Q sweep
-eliminates over Q only the links where GF(2) finds homology (torsion such as
-RP^2's can make those pass over Q).
+Ranks over Q come from the GF(2) bitmask kernel unless 2-torsion can hide.
+Lemma: write H~_i(K; Z) as Z^{b_i} plus cyclic groups of prime-power order,
+so b_i = dim H~_i(K; Q), and let t_i count the summands of order a power of
+2.  Then dim H~_i(K; GF(2)) = b_i + t_i + t_{i-1}; so when no two adjacent
+degrees both have GF(2) homology, every t_i is 0 and the GF(2) ranks are the
+Q ranks.  Proof: by the universal coefficient theorem (Hatcher, Thm 3A.3),
+H~_i(K; GF(2)) is H~_i(K; Z) (x) GF(2) plus Tor(H~_{i-1}(K; Z), GF(2)).
+Tensoring with GF(2) leaves one GF(2) for each Z and each Z/2^a and kills
+Z/q^a for odd q; Tor(-, GF(2)) is GF(2) for each Z/2^a and 0 for Z and Z/q^a.
+This holds for the augmented chain complex, a complex of free abelian
+groups, whose H~_{-1} is free (t_{-1} = 0).  A summand counted in t_i adds
+one to both degree i and degree i + 1 over GF(2), so t_i > 0 makes two
+adjacent degrees nonzero.  ``_reduced_ranks`` therefore eliminates over Q
+only a complex whose GF(2) ranks have an adjacent nonzero pair (RP^2:
+degrees 1 and 2, where Q finds nothing).  A link sweep over Q asks it once
+per link, so a link with GF(2) homology in its top degree alone, the common
+case in a Cohen-Macaulay complex, is never eliminated over Q.
 """
 
 from __future__ import annotations
@@ -226,7 +236,7 @@ def _boundary_rank(faces_d: Sequence[int], below_index: dict, cleared: Container
     """Rank of the boundary map from d-faces to (d-1)-faces, and its pivot columns.
 
     Rows go to the kernel in descending face index, and the row of every face
-    whose index is in ``cleared`` is never built (``_reduced_ranks`` says why
+    whose index is in ``cleared`` is never built (``_betti_numbers`` says why
     that is exact).  A pivot column is the index of a (d-1)-face.  Over GF(2)
     signs vanish, so each row goes straight into a bitmask.
     """
@@ -283,8 +293,9 @@ class HomologyProfile:
         return "[%s over %s]" % (body, self.field)
 
 
-def _reduced_ranks(layers: Sequence[Sequence[int]], field: Field) -> tuple:
-    """(dimension, rank) pairs from -1 up, for faces grouped by size (entry k: k-faces).
+def _betti_numbers(layers: Sequence[Sequence[int]], field: Field) -> list:
+    """Reduced Betti numbers over the field for faces grouped by size: entry k
+    is the rank in dimension k - 1.
 
     The boundary ranks are computed from the top layer down, with clearing
     (Chen-Kerber 2011): the rows of the k-faces whose indices are pivot
@@ -301,7 +312,20 @@ def _reduced_ranks(layers: Sequence[Sequence[int]], field: Field) -> tuple:
     for k in range(len(layers) - 1, 0, -1):
         below = {f: j for j, f in enumerate(layers[k - 1])}
         brank[k], cleared = _boundary_rank(layers[k], below, cleared, field)
-    return tuple((k - 1, len(layers[k]) - brank[k] - brank[k + 1]) for k in range(len(layers)))
+    return [len(layers[k]) - brank[k] - brank[k + 1] for k in range(len(layers))]
+
+
+def _reduced_ranks(layers: Sequence[Sequence[int]], field: Field) -> tuple:
+    """(dimension, rank) pairs from -1 up, for faces grouped by size (entry k: k-faces).
+
+    Over Q the ranks are first computed over GF(2), and the complex is
+    eliminated over Q only when two adjacent degrees both have GF(2)
+    homology; otherwise the GF(2) ranks are the Q ranks (module docstring).
+    """
+    ranks = _betti_numbers(layers, GF2 if field.p is None else field)
+    if field.p is None and any(a and b for a, b in zip(ranks, ranks[1:])):
+        ranks = _betti_numbers(layers, field)
+    return tuple((k - 1, r) for k, r in enumerate(ranks))
 
 
 def reduced_homology(c: Complex, field: Field = QQ) -> HomologyProfile:
@@ -349,10 +373,8 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
     keeps none.  When ``pure`` says the complex is pure, a link whose facets,
     the top layer of the costar, share a vertex outside the face is a cone
     and passes without elimination; its costar is kept first, so the faces
-    below it are still swept.  Over Q a link is first checked over GF(2) and
-    skipped if it passes there, so only links that fail over GF(2) are
-    eliminated over Q; the first failing face, and so the witness, is
-    unchanged.
+    below it are still swept.  Every other link costs one ``_reduced_ranks``
+    call over the sweep's field.
     """
     kept = {0: faces}
     for layer in faces:
@@ -378,8 +400,6 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                 if apex & ~sigma:  # the link is a cone
                     continue
             lk = [[t ^ sigma for t in ts] for ts in costar]
-            if field.p is None and not any(r for i, r in _reduced_ranks(lk, GF2) if i < d):
-                continue
             for i, r in _reduced_ranks(lk, field):
                 if i < d and r:
                     return CMWitness(universe.members(sigma), i, r)
@@ -391,11 +411,7 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
 
 def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     """Link-vanishing test: every face's link (the empty face included) must
-    have zero reduced homology below its own dimension.
-
-    Over Q each link is screened over GF(2) first and eliminated over Q only
-    when GF(2) finds homology below its dimension; the witness is the one a
-    plain Q sweep would give."""
+    have zero reduced homology below its own dimension."""
     if c.is_void:
         raise InputError("Cohen-Macaulayness of the void complex is undefined")
     if c.has_ghost_vertices:
@@ -416,8 +432,7 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     the i-skeleton of a Cohen-Macaulay complex, so it is Cohen-Macaulay and
     not swept; a pure complex costs one sweep, as in ``is_cohen_macaulay``.
     Only faces are swept, so vertices a skeleton leaves unused (a vertex
-    facet is in no pure 1-skeleton) play no part.  Over Q the link sweep of
-    each skeleton screens links over GF(2) first, as in ``is_cohen_macaulay``.
+    facet is in no pure 1-skeleton) play no part.
     """
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")

@@ -457,6 +457,8 @@ class TestConeLinks:
                 calls.clear()
                 assert sc.is_cohen_macaulay(c, f).witness == unscreened
                 assert len(calls) < every_link
+                # one call per link, over the sweep's own field for every field
+                assert [field for _, field in calls] == [f] * len(calls)
 
 
 def clearing_inputs():
@@ -484,29 +486,103 @@ class TestClearing:
                         assert homology._boundary_rank(layers[k], below, cleared - {j}, f)[0] == rank
 
     def test_each_layer_hands_the_kernel_only_uncleared_rows(self, monkeypatch):
+        # each kernel that runs gets one call per layer, top layer first; over Q
+        # the GF(2) kernel runs first, and the sparse kernel runs after it only
+        # on GF(2) ranks with an adjacent nonzero pair (RP^2, the first seeded
+        # input), so GF(3) and those Q inputs drive the sparse path
         seen = []
+        gf2, sparse = homology._pivots_gf2, homology._pivots_sparse
 
         def counting(kernel):
             def wrapped(rows, *args):
                 rows = list(rows)
                 pivots = kernel(rows, *args)
-                seen.append((len(rows), len(pivots)))
+                seen.append((kernel, len(rows), len(pivots)))
                 return pivots
             return wrapped
 
-        monkeypatch.setattr(homology, "_pivots_gf2", counting(homology._pivots_gf2))
-        monkeypatch.setattr(homology, "_pivots_sparse", counting(homology._pivots_sparse))
+        monkeypatch.setattr(homology, "_pivots_gf2", counting(gf2))
+        monkeypatch.setattr(homology, "_pivots_sparse", counting(sparse))
         skipped = 0
+        eliminated_over_q = []
         for c in [projective_plane()] + clearing_inputs():
             f_k = [len(layer) for layer in _faces_by_size(c.facets)]
-            for f, _ in ORACLE_FIELDS:
+            n = len(f_k) - 1
+            adjacent = has_adjacent_pair(brute_reduced_homology(c.universe.labels, facet_sets(c), 2))
+            eliminated_over_q.append(adjacent)
+            for f, p in ORACLE_FIELDS:
+                kernels = {2: [gf2], 3: [sparse], None: [gf2, sparse] if adjacent else [gf2]}[p]
                 seen.clear()
                 sc.reduced_homology(c, f)
                 # one kernel call per layer, top layer first
-                assert len(seen) == len(f_k) - 1
-                rank_above = 0
-                for k, (rows, rank) in zip(range(len(f_k) - 1, 0, -1), seen):
-                    assert rows == f_k[k] - rank_above
-                    skipped += rank_above
-                    rank_above = rank
+                assert [k for k, _, _ in seen] == [k for k in kernels for _ in range(n)]
+                for i in range(len(kernels)):
+                    rank_above = 0
+                    for k, (_, rows, rank) in zip(range(n, 0, -1), seen[i * n:(i + 1) * n]):
+                        assert rows == f_k[k] - rank_above
+                        skipped += rank_above
+                        rank_above = rank
         assert skipped > 0
+        assert eliminated_over_q[0] and any(eliminated_over_q[1:])
+
+
+def has_adjacent_pair(ranks):
+    """Whether two adjacent degrees of a ``{degree: rank}`` profile are both nonzero."""
+    return any(ranks.get(i) and ranks.get(i + 1) for i in ranks)
+
+
+def suspension(c):
+    """c joined with two new points n and s."""
+    u = VertexSet.of(c.universe.labels + ("n", "s"))
+    return sc.from_facets(u, [set(F) | {v} for F in c.facet_members() for v in "ns"])
+
+
+def sphere_plus_point():
+    """The boundary of a tetrahedron and a disjoint point: GF(2) homology in
+    degrees 0 and 2, which are not adjacent."""
+    return cx(5, [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}, {5}])
+
+
+class TestTwoTorsion:
+    """Q ranks are the GF(2) ranks unless two adjacent GF(2) degrees are nonzero."""
+
+    def test_gf2_ranks_without_adjacent_pair_are_the_q_ranks(self):
+        # the lemma on data, with the brute-force oracle only; the suspension
+        # of RP^2 has its 2-torsion in degree 2
+        known = [projective_plane(), suspension(projective_plane()), sphere_plus_point()]
+        sample = known + seeded_complexes(60, seed=2357, n_range=(3, 7),
+                                          accept=lambda c: not c.is_void)
+        checked = spread = differ = 0
+        for c in sample:
+            ranks_2 = brute_reduced_homology(c.universe.labels, facet_sets(c), 2)
+            ranks_q = brute_reduced_homology(c.universe.labels, facet_sets(c), None)
+            if has_adjacent_pair(ranks_2):
+                differ += ranks_2 != ranks_q
+                continue
+            assert ranks_q == ranks_2
+            checked += 1
+            spread += sum(1 for r in ranks_2.values() if r) >= 2
+        assert differ >= 2 and spread >= 1
+        assert checked >= 60
+
+    def test_q_eliminates_only_where_two_torsion_can_hide(self, monkeypatch):
+        calls = TestCostarSweep.counting(monkeypatch, "_pivots_sparse")
+        queries = (sc.reduced_homology, sc.is_cohen_macaulay, sc.is_sequentially_cm)
+        skeleton = sc.pure_skeleton(cx(6, [set(range(1, 7))]), 2)
+        for c in (pentagon_circle(), dunce_hat(), skeleton, sphere_plus_point()):
+            for query in queries:
+                calls.clear()
+                query(c, sc.QQ)
+                assert calls == []
+        rp2 = projective_plane()
+        for c in (rp2, cone_over_projective_plane()):
+            expected = {sc.reduced_homology: brute_reduced_homology(c.universe.labels, facet_sets(c), None),
+                        sc.is_cohen_macaulay: oracle_cm_witness(c, None) is None,
+                        sc.is_sequentially_cm: oracle_scm_witness(c, None) is None}
+            for query in queries:
+                calls.clear()
+                answer = query(c, sc.QQ)
+                assert (dict(answer.ranks) if query is sc.reduced_homology else answer.ok) == expected[query]
+                # RP^2 has GF(2) homology in degrees 1 and 2; its cone is GF(2)-acyclic,
+                # so only the cone's sweeps, at the apex link RP^2, eliminate over Q
+                assert bool(calls) == (c is rp2 or query is not sc.reduced_homology)
