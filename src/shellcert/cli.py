@@ -28,7 +28,7 @@ from .complexes import (
 from .facts import build_fact_table
 from .formats import parse_complex, to_json_document
 from .generators import random_complex, random_flag_complex
-from .homology import DEFAULT_FIELDS, Field, is_cohen_macaulay, is_sequentially_cm, reduced_homology
+from .homology import DEFAULT_FIELDS, Field, cm_reports, is_cohen_macaulay, is_sequentially_cm, reduced_homology
 from .hunt import hunt_counterexample
 from .orders import (
     SHELLING,
@@ -133,11 +133,7 @@ def cmd_check(args) -> int:
 def cmd_find(args) -> int:
     c = _load(args)
     kind, _, find = _conditions()[args.condition]
-    try:
-        cert = find(c)
-    except Undecided as e:
-        print("undecided: %s" % e)
-        return EX_UNDECIDED
+    cert = find(c)
     if cert is None:
         print("none exists")
         return EX_FAIL
@@ -164,8 +160,7 @@ def cmd_homology(args) -> int:
 def _cm_command(args, tester) -> int:
     c = _load(args)
     worst = EX_OK
-    for f in _fields(args):
-        rep = tester(c, f)
+    for f, rep in cm_reports(tester, c, _fields(args)):
         if rep.degenerate:
             print("%s: degenerate input (%s)" % (f, rep.degenerate))
             return EX_INPUT
@@ -307,7 +302,7 @@ def main(argv=None) -> int:
         print("input error: %s" % e, file=sys.stderr)
         return EX_INPUT
     except Undecided as e:
-        print("undecided: %s" % e, file=sys.stderr)
+        print("undecided: %s" % e)
         return EX_UNDECIDED
     except Exception as e:
         print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)

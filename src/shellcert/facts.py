@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .complexes import Complex, alexander_dual, is_flag, restrict_to_support
-from .homology import DEFAULT_FIELDS, Field, is_sequentially_cm
+from .homology import DEFAULT_FIELDS, Field, cm_reports, is_sequentially_cm
 from .orders import Undecided, find_shelling_order, find_strong_gcd_order
 
 __all__ = [
@@ -158,15 +158,9 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
     the split.  A search that runs out of ``orders.NODE_BUDGET`` leaves its
     slot unknown, with an "undecided" note, rather than guessing.  The flag
     bit, the dual and the strong gcd search all read the minimal non-faces
-    of c, which the complex computes once (see ``minimal_nonfaces``).
-
-    A field listed twice is swept once.  Q is recorded as sequentially CM
-    without its own sweep once a prime field listed before it has said so:
-    by universal coefficients a link's dimension over GF(p) is its dimension
-    over Q plus a count of p-primary torsion (the lemma in the ``homology``
-    module docstring, with p in place of 2), so link homology that vanishes
-    over GF(p) vanishes over Q.  A failing prime field says nothing about Q,
-    so Q is then computed.
+    of c, which the complex computes once (see ``minimal_nonfaces``).  The
+    fields are swept as ``homology.cm_reports`` says: each once, and Q not
+    after a prime field has passed.
     """
     table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
     dual = alexander_dual(c)
@@ -187,15 +181,8 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
         table.slots["dual_seq_cm"].note = "dual is void; settled by inference if at all"
     else:
         support_dual = restrict_to_support(dual)
-        verdicts = {}
-        prime_passed = False
-        for f in dict.fromkeys(fields):
-            if f.p is None and prime_passed:
-                verdicts[str(f)] = True
-                continue
-            ok = verdicts[str(f)] = bool(is_sequentially_cm(support_dual, f))
-            prime_passed |= ok and f.p is not None
-        table.scm_by_field = verdicts
+        reports = cm_reports(is_sequentially_cm, support_dual, fields)
+        table.scm_by_field = verdicts = {str(f): rep.ok for f, rep in reports}
         vals = set(verdicts.values())
         if len(vals) == 1:
             table._set("dual_seq_cm", TRUE if vals.pop() else FALSE, "computed")

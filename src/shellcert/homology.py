@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import gcd
-from typing import Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .complexes import Complex, InputError, VertexSet, _faces_by_size
 
@@ -103,6 +103,7 @@ __all__ = [
     "reduced_homology",
     "is_cohen_macaulay",
     "is_sequentially_cm",
+    "cm_reports",
     "DEFAULT_FIELDS",
 ]
 
@@ -448,3 +449,20 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
         if w is not None:
             return CMReport(False, field, witness=replace(w, skeleton_dim=i))
     return CMReport(True, field)
+
+
+def cm_reports(test: Callable, c: Complex, fields: Iterable[Field]) -> Iterator[tuple]:
+    """(field, report) pairs of ``test`` (``is_cohen_macaulay`` or
+    ``is_sequentially_cm``) on c, each field once in first-seen order.
+
+    Q passes without a sweep after a prime field has passed: by universal
+    coefficients, link homology that vanishes over GF(p) vanishes over Q (the
+    lemma in the module docstring, with p in place of 2).  After a failing
+    prime field Q is swept.  Sweeps run as the pairs are consumed, so a
+    caller that stops at the first failure sweeps no more.
+    """
+    prime_passed = False
+    for f in dict.fromkeys(fields):
+        rep = CMReport(True, f) if f.p is None and prime_passed else test(c, f)
+        prime_passed |= rep.ok and f.p is not None
+        yield f, rep

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from .complexes import Complex, InputError, alexander_dual, restrict_to_support
 from .formats import to_json_document
 from .generators import random_complex
-from .homology import DEFAULT_FIELDS, is_sequentially_cm
+from .homology import DEFAULT_FIELDS, cm_reports, is_sequentially_cm
 from .orders import Undecided, find_weak_shelling_order, is_trivially_weakly_shellable
 
 __all__ = ["STAGES", "HuntReport", "screen_candidate", "hunt_counterexample"]
@@ -69,7 +69,8 @@ def screen_candidate(c: Complex) -> str:
     (two edges of a path already do it), which is noise rather than an answer.
     The weak-shellability filters run before the (expensive, field-sensitive)
     sequential-CM test; a hit must be sequentially Cohen-Macaulay over every
-    field of ``DEFAULT_FIELDS`` yet admit no weak shelling order.
+    field of ``DEFAULT_FIELDS`` yet admit no weak shelling order; the fields
+    are swept by ``homology.cm_reports``, which skips Q once GF(2) has passed.
     """
     c = restrict_to_support(c)
     if c.is_void or c.dim == -1:
@@ -84,9 +85,8 @@ def screen_candidate(c: Complex) -> str:
         return "undecided"
     if cert is not None:
         return "weak-order-found"
-    for f in DEFAULT_FIELDS:
-        if not is_sequentially_cm(c, f):
-            return "not-sequentially-cm"
+    if not all(rep.ok for _, rep in cm_reports(is_sequentially_cm, c, DEFAULT_FIELDS)):
+        return "not-sequentially-cm"
     return "hit"
 
 

@@ -247,6 +247,19 @@ class TestCli:
         assert code == 1 and "witness" in out
         assert self.run(["scm", "--fixture", "dunce-hat"], capsys)[0] == 0
 
+    def test_cm_scm_skip_q_after_gf2_passes(self, capsys, monkeypatch):
+        for cmd, test in (("cm", sc.is_cohen_macaulay), ("scm", sc.is_sequentially_cm)):
+            swept = []
+
+            def counting(c, field):
+                swept.append(str(field))
+                return test(c, field)
+
+            monkeypatch.setattr("shellcert.cli." + test.__name__, counting)
+            code, out, _ = self.run([cmd, "--fixture", "dunce-hat"], capsys)
+            assert code == 0 and out.splitlines() == ["GF(2): yes", "Q: yes"]
+            assert swept == ["GF(2)"]
+
     def test_cm_degenerate_input(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"vertices":[1,2,3], "facets":[[1,2]]}')
@@ -259,6 +272,18 @@ class TestCli:
         assert "dual shellable: F" in out
         assert "strong gcd:     T" in out
         assert "inferred:gcd-implies-golod" in out
+
+    def test_table_undecided_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 10)
+        code, out, _ = self.run(["table", "--fixture", "gcd-violator"], capsys)
+        assert code == EX_UNDECIDED == 3
+        assert out.splitlines() == [
+            "catalog claim: ('F', 'F', 'F', 'claim:T')",
+            "dual shellable: F            (computed)",
+            "strong gcd:     unknown      [undecided: search budget of 10 states exhausted]",
+            "dual seq. CM:   F            (computed)",
+            "Golod:          out-of-scope [no algebraic verification performed]",
+        ]
 
     def test_random_deterministic(self, capsys):
         a = self.run(["random", "--seed", "5", "--vertices", "6", "--density", "0.5"], capsys)

@@ -1,8 +1,32 @@
+from itertools import product
+
 import pytest
 
 import shellcert as sc
+from shellcert import hunt
 from shellcert.catalog import dunce_hat, projective_plane
+from shellcert.cli import EX_FAIL, main
+from shellcert.formats import to_json_document
 from shellcert.hunt import STAGES, hunt_counterexample, screen_candidate
+
+# the boundary of the octahedron: a 2-sphere, sequentially CM over every
+# field, and its opposite triangles {1,3,5} and {2,4,6} cover all 6 vertices
+OCTAHEDRON = sc.from_facets(sc.VertexSet.of(range(1, 7)), product((1, 2), (3, 4), (5, 6)))
+TWO_TRIANGLES = sc.from_facets(sc.VertexSet.of(range(1, 7)), [{1, 2, 3}, {4, 5, 6}])
+
+
+@pytest.fixture
+def scm_fields(monkeypatch):
+    """The fields the screen sweeps for sequential Cohen-Macaulayness, in order."""
+    calls = []
+    original = hunt.is_sequentially_cm
+
+    def counting(c, field):
+        calls.append(str(field))
+        return original(c, field)
+
+    monkeypatch.setattr(hunt, "is_sequentially_cm", counting)
+    return calls
 
 
 class TestGenerators:
@@ -68,6 +92,27 @@ class TestScreening:
         stage = screen_candidate(c)
         assert stage in ("weak-order-found", "trivially-weakly-shellable")
 
+    def test_hit_stage_sweeps_gf2_only(self, monkeypatch, scm_fields):
+        assert screen_candidate(OCTAHEDRON) == "weak-order-found"
+        # with the search pretending no weak order exists, the octahedron is a
+        # hit; GF(2) passes, so Q passes without its own sweep
+        monkeypatch.setattr(hunt, "find_weak_shelling_order", lambda c: None)
+        assert screen_candidate(OCTAHEDRON) == "hit"
+        assert scm_fields == ["GF(2)"]
+
+    def test_not_sequentially_cm_stage_stops_at_the_first_failing_field(self, scm_fields):
+        # no weak order, and a disconnected pure complex is not CM over GF(2)
+        assert screen_candidate(TWO_TRIANGLES) == "not-sequentially-cm"
+        assert scm_fields == ["GF(2)"]
+
+    def test_undecided_stage(self, monkeypatch, scm_fields):
+        def exhausted(c):
+            raise sc.Undecided("search budget of 10 states exhausted")
+
+        monkeypatch.setattr(hunt, "find_weak_shelling_order", exhausted)
+        assert screen_candidate(OCTAHEDRON) == "undecided"
+        assert scm_fields == []
+
 
 class TestHunt:
     def test_deterministic(self):
@@ -109,3 +154,18 @@ class TestHunt:
         text = report.as_text()
         assert "sampled: 20" in text
         assert "no counterexample found" in text
+
+    def test_report_text_lists_hits_sorted(self, monkeypatch, capsys):
+        # with the search pretending no weak order exists, every sequentially
+        # CM survivor is a hit
+        monkeypatch.setattr(hunt, "find_weak_shelling_order", lambda c: None)
+        report = hunt_counterexample(1, 20)
+        assert report.counts["hit"] == len(report.hits) > 1
+        docs = [to_json_document(c) for c in report.hits]
+        assert docs == sorted(docs)
+        lines = report.as_text().splitlines()
+        i = lines.index("counterexample candidates:")
+        assert lines[i + 1:] == ["  " + d for d in docs]
+        assert "no counterexample found" not in lines
+        assert main(["hunt", "--seed", "1", "--budget", "20"]) == EX_FAIL
+        assert capsys.readouterr().out == report.as_text() + "\n"

@@ -190,8 +190,9 @@ class TestCohenMacaulay:
         assert not rep2.ok and rep2.degenerate
 
     def test_void_rejected(self):
-        with pytest.raises(sc.InputError):
-            sc.is_cohen_macaulay(cx(2, []), sc.QQ)
+        for test in (sc.is_cohen_macaulay, sc.is_sequentially_cm):
+            with pytest.raises(sc.InputError):
+                test(cx(2, []), sc.QQ)
 
 
 def cone_over(c, apex="a"):
@@ -292,6 +293,42 @@ class TestQSweepAgainstOracle:
                 if expected is not None:
                     w = rep.witness
                     assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
+
+
+class TestCMReports:
+    """``cm_reports``: each field swept once, Q skipped after a passing prime."""
+
+    def test_skipped_q_report_is_the_sweep_report(self):
+        gf3 = sc.Field.gf(3)
+        for c in q_sweep_inputs():
+            for test in (sc.is_cohen_macaulay, sc.is_sequentially_cm):
+                for fields in ((gf3, sc.GF2, sc.QQ, sc.GF2), (sc.GF2, sc.QQ), (sc.QQ, gf3)):
+                    swept = []
+
+                    def counting(c, field):
+                        swept.append(field)
+                        return test(c, field)
+
+                    pairs = list(homology.cm_reports(counting, c, fields))
+                    distinct = list(dict.fromkeys(fields))
+                    assert pairs == [(f, test(c, f)) for f in distinct]
+                    before_q = distinct[:distinct.index(sc.QQ)]
+                    q_skipped = any(rep.ok for f, rep in pairs if f in before_q)
+                    assert swept == [f for f in distinct if not (f == sc.QQ and q_skipped)]
+
+    def test_skips_q_after_gf3_passes_and_sweeps_lazily(self):
+        swept = []
+
+        def counting(c, field):
+            swept.append(str(field))
+            return sc.is_cohen_macaulay(c, field)
+
+        # RP^2 is Cohen-Macaulay over GF(3) and Q, not over GF(2)
+        fields = (sc.GF2, sc.Field.gf(3), sc.QQ)
+        pairs = homology.cm_reports(counting, projective_plane(), fields)
+        assert not next(pairs)[1].ok and swept == ["GF(2)"]
+        assert [rep.ok for _, rep in pairs] == [True, True]
+        assert swept == ["GF(2)", "GF(3)"]
 
 
 class TestSequentiallyCM:

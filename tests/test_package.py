@@ -1,7 +1,8 @@
 """Package-wide properties: no state outlives a call, no environment variable
 changes behaviour, no function calls itself, the layers above duality and
-search use only the public API, the README names every fixture, and the
-benchmark's own corruption checks still run."""
+search use only the public API, the README names every fixture and shows
+true values in its Library block, and the benchmark's own corruption checks
+still run."""
 
 import ast
 import importlib
@@ -91,6 +92,30 @@ def test_readme_names_every_fixture():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [k for k in FIXTURES if "`%s`" % k not in readme]
     assert missing == []
+
+
+def test_readme_library_block_shows_true_values():
+    # each commented line of the README's Library block shows the repr of its
+    # value, up to spaces (a comment on a line of its own belongs to the line above)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if code:
+            lines.append([code, comment])
+        elif comment:
+            lines[-1][1] = comment
+    namespace = {}
+    checked = 0
+    for code, comment in lines:
+        if comment:
+            shown = comment.split(": ", 1)[0]
+            assert repr(eval(code, namespace)).replace(" ", "") == shown.replace(" ", ""), code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 5
 
 
 def test_benchmark_self_test_passes():
