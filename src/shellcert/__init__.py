@@ -53,6 +53,7 @@ from .orders import (
     find_shelling_order,
     find_strong_gcd_order,
     find_weak_shelling_order,
+    gcd_order_from_dual,
     is_trivially_weakly_shellable,
 )
 
@@ -67,7 +68,7 @@ __all__ = [
     "OrderCertificate", "CheckReport", "StepWitness", "PairWitness", "Undecided",
     "check_shelling_order", "check_weak_shelling_order", "check_strong_gcd_order",
     "find_shelling_order", "find_weak_shelling_order", "find_strong_gcd_order",
-    "is_trivially_weakly_shellable",
+    "gcd_order_from_dual", "is_trivially_weakly_shellable",
     "Field", "GF2", "QQ", "DEFAULT_FIELDS", "HomologyProfile", "CMReport", "CMWitness",
     "reduced_homology", "is_cohen_macaulay", "is_sequentially_cm",
     "FactTable", "FactConflict", "build_fact_table",

@@ -2,9 +2,16 @@
 
 The four slots are: is the Alexander dual shellable, does the complex satisfy
 the strong gcd-condition, is the dual sequentially Cohen-Macaulay, and is the
-Stanley-Reisner ring Golod.  The first three are decided by search and
-homology; Golodness is never verified algebraically here.  Instead the known
-one-way implications act as inference rules,
+Stanley-Reisner ring Golod.  The table is built certificate-first: the one
+search that always runs is for a shelling of the dual, and when it finds one
+the certificate settles the next two slots.  Reversed and complemented, it is
+a strong gcd-order, which is validated before the slot is set; and a
+shellable complex is sequentially Cohen-Macaulay over every field
+(Bjorner-Wachs, "Shellable nonpure complexes and posets I", Trans. AMS 348
+(1996)), so no link sweep runs.  Only without a shelling does the strong gcd
+search run and the dual's links get swept.  Golodness is never verified
+algebraically here.  Instead the known one-way implications act as inference
+rules,
 
     dual shellable  =>  strong gcd      dual shellable  =>  dual seq. CM
     strong gcd      =>  Golod           dual seq. CM    =>  Golod
@@ -17,7 +24,8 @@ All rules except "dual shellable => dual seq. CM" assume the complex has no
 ghost vertices (a ghost vertex is a singleton minimal non-face, which gives
 the dual a facet missing a single vertex and breaks the shelling-to-gcd
 argument; a path of two edges has a shellable dual picture but no strong
-gcd-order).  For a ghosted complex only the unconditional rule fires.
+gcd-order).  For a ghosted complex only the unconditional rule fires, and the
+strong gcd slot is searched even when the dual is shellable.
 """
 
 from __future__ import annotations
@@ -27,7 +35,13 @@ from typing import Sequence
 
 from .complexes import Complex, alexander_dual, is_flag, restrict_to_support
 from .homology import DEFAULT_FIELDS, Field, cm_reports, is_sequentially_cm
-from .orders import Undecided, find_shelling_order, find_strong_gcd_order
+from .orders import (
+    Undecided,
+    check_strong_gcd_order,
+    find_shelling_order,
+    find_strong_gcd_order,
+    gcd_order_from_dual,
+)
 
 __all__ = [
     "TRUE",
@@ -149,36 +163,53 @@ def close_under_rules(table: FactTable):
 
 
 def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> FactTable:
-    """Compute the searchable slots, then take the inference closure.
+    """Search the dual for a shelling, settle what its certificate settles,
+    compute the rest, then take the inference closure.
 
-    The dual is tested for sequential Cohen-Macaulayness on its support:
-    ghost vertices of the dual correspond to generators already present in
-    the Stanley-Reisner ideal and do not change the quotient ring.  When the
-    per-field verdicts disagree the slot stays undecided and the note records
-    the split.  A search that runs out of ``orders.NODE_BUDGET`` leaves its
-    slot unknown, with an "undecided" note, rather than guessing.  The flag
-    bit, the dual and the strong gcd search all read the minimal non-faces
-    of c, which the complex computes once (see ``minimal_nonfaces``).  The
-    fields are swept as ``homology.cm_reports`` says: each once, and Q not
-    after a prime field has passed.
+    A shelling of the dual of a ghost-free complex, reversed and complemented
+    (``orders.gcd_order_from_dual``), is a strong gcd-order; it must pass
+    ``check_strong_gcd_order`` before the strong gcd slot is set to computed
+    T.  Without such a validated order (no shelling, an undecided search, a
+    ghosted complex, or a failed check) ``find_strong_gcd_order`` decides.
+    When the dual has a shelling and is not void, every requested field
+    records True in ``scm_by_field`` (each once, first-seen order) and the
+    sequential CM slot is left to the closure's shelling rule: no link is
+    swept.  Otherwise the dual is swept on its support: ghost vertices of the
+    dual correspond to generators already present in the Stanley-Reisner
+    ideal and do not change the quotient ring.  The fields are swept as
+    ``homology.cm_reports`` says: each once, and Q not after a prime field
+    has passed.  When the per-field verdicts disagree the slot stays
+    undecided and the note records the split.  A search that runs out of
+    ``orders.NODE_BUDGET`` leaves its slot unknown, with an "undecided" note,
+    rather than guessing.  The flag bit, the dual and the strong gcd search
+    all read the minimal non-faces of c, which the complex computes once (see
+    ``minimal_nonfaces``).
     """
     table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
     dual = alexander_dual(c)
 
+    shelling = None
     try:
-        cert = find_shelling_order(dual)
-        table._set("dual_shellable", TRUE if cert else FALSE, "computed")
+        shelling = find_shelling_order(dual)
+        table._set("dual_shellable", TRUE if shelling else FALSE, "computed")
     except Undecided as e:
         table.slots["dual_shellable"].note = "undecided: %s" % e
 
-    try:
-        cert = find_strong_gcd_order(c)
-        table._set("strong_gcd", TRUE if cert else FALSE, "computed")
-    except Undecided as e:
-        table.slots["strong_gcd"].note = "undecided: %s" % e
+    derived = shelling and table.ghost_free and gcd_order_from_dual(c, shelling)
+    if derived and check_strong_gcd_order(c, derived):
+        table._set("strong_gcd", TRUE, "computed")
+    else:
+        try:
+            cert = find_strong_gcd_order(c)
+            table._set("strong_gcd", TRUE if cert else FALSE, "computed")
+        except Undecided as e:
+            table.slots["strong_gcd"].note = "undecided: %s" % e
 
     if dual.is_void:
         table.slots["dual_seq_cm"].note = "dual is void; settled by inference if at all"
+    elif shelling:
+        # the closure's shelling-implies-seq-cm rule sets the slot
+        table.scm_by_field = dict.fromkeys((str(f) for f in fields), True)
     else:
         support_dual = restrict_to_support(dual)
         reports = cm_reports(is_sequentially_cm, support_dual, fields)

@@ -95,6 +95,7 @@ __all__ = [
     "find_shelling_order",
     "find_weak_shelling_order",
     "find_strong_gcd_order",
+    "gcd_order_from_dual",
     "is_trivially_weakly_shellable",
 ]
 
@@ -449,6 +450,18 @@ def find_strong_gcd_order(c: Complex) -> Optional[OrderCertificate]:
     weak = find_weak_shelling_order(alexander_dual(c))
     if weak is None:
         return None
+    return gcd_order_from_dual(c, weak)
+
+
+def gcd_order_from_dual(c: Complex, order: OrderCertificate) -> OrderCertificate:
+    """The order of c's minimal non-faces read off a facet order of its dual.
+
+    The dual's facets are reversed and each is complemented.  A weak shelling
+    order of the dual always maps to a strong gcd-order of c.  So does a
+    shelling order when c has no ghost vertices: every dual facet then misses
+    at least two vertices, and a shelling of such facets is a weak shelling.
+    Any other order may map to one that fails; ``check_strong_gcd_order``
+    decides.
+    """
     full = c.universe.full_mask
-    seq = tuple(full ^ f for f in reversed(weak.sequence))
-    return OrderCertificate(STRONG_GCD, c, seq)
+    return OrderCertificate(STRONG_GCD, c, tuple(full ^ f for f in reversed(order.sequence)))

@@ -104,3 +104,22 @@ def brute_shelling_failure(order):
         if any(len(s) != len(order[j]) - 1 for s in tops):
             return j, tops
     return None
+
+
+def homology_facet_counts(order):
+    """{dim: count} of the homology facets of a shelling given as label sets.
+
+    A facet is a homology facet when each of its ridges (the facet less one
+    vertex) lies in an earlier facet; the first facet is one only when it is
+    the empty face.  A shellable complex is homotopy equivalent to a wedge of
+    spheres, one d-sphere per d-dimensional homology facet (Bjorner-Wachs,
+    "Shellable nonpure complexes and posets I", Trans. AMS 348 (1996),
+    Thm 4.1), so the counts are its reduced Betti numbers over every field.
+    The order must already be known to be a shelling.
+    """
+    order = [frozenset(f) for f in order]
+    counts = {}
+    for j, facet in enumerate(order):
+        if all(any(facet - {v} <= f for f in order[:j]) for v in facet):
+            counts[len(facet) - 1] = counts.get(len(facet) - 1, 0) + 1
+    return counts

@@ -1,6 +1,9 @@
+import contextlib
+
 import pytest
 
 import shellcert as sc
+from shellcert import catalog, facts
 from shellcert.catalog import dunce_hat, gcd_violator, strong_gcd_witness
 from shellcert.facts import (
     FALSE,
@@ -13,6 +16,7 @@ from shellcert.facts import (
     build_fact_table,
     close_under_rules,
 )
+from shellcert.homology import cm_reports
 
 from conftest import seeded_complexes
 
@@ -111,7 +115,7 @@ class TestBuildFactTable:
                 assert t.slots[name].value in (exact.slots[name].value, UNKNOWN)
 
     def test_nonfaces_computed_once_per_table(self, monkeypatch):
-        from shellcert import catalog, complexes
+        from shellcert import complexes
 
         original = complexes._minimal_transversals
         calls = []
@@ -129,8 +133,6 @@ class TestBuildFactTable:
             assert calls == [sorted(full ^ f for f in c.facets)]
 
     def test_sequential_cm_sweeps_per_table(self, monkeypatch):
-        from shellcert import catalog, facts
-
         original = facts.is_sequentially_cm
         calls = []
 
@@ -140,7 +142,7 @@ class TestBuildFactTable:
 
         monkeypatch.setattr(facts, "is_sequentially_cm", counting)
         # GF(2) says sequentially CM, so Q follows without its own sweep
-        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())
+        t = build_fact_table(catalog.FIXTURES["dunce-hat-dual"]())
         assert calls == ["GF(2)"]
         assert t.scm_by_field == {"GF(2)": True, "Q": True}
         # GF(2) fails, so Q is computed and the split is kept
@@ -150,9 +152,17 @@ class TestBuildFactTable:
         assert t.scm_by_field == {"GF(2)": False, "Q": True}
         # Q listed first has no prime verdict to lean on
         calls.clear()
-        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"](), fields=(sc.QQ, sc.GF2))
+        t = build_fact_table(catalog.FIXTURES["dunce-hat-dual"](), fields=(sc.QQ, sc.GF2))
         assert calls == ["Q", "GF(2)"]
         assert t.scm_by_field == {"Q": True, "GF(2)": True}
+        # a shellable dual is sequentially CM over every field: nothing is swept
+        calls.clear()
+        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())
+        assert calls == []
+        assert t.scm_by_field == {"GF(2)": True, "Q": True}
+        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"](), fields=(sc.QQ, sc.GF2, sc.QQ))
+        assert calls == []
+        assert list(t.scm_by_field.items()) == [("Q", True), ("GF(2)", True)]
         # a field listed twice is swept once, in first-seen order
         for fields, expected in (((sc.GF2, sc.GF2), ["GF(2)"]),
                                  ((sc.QQ, sc.GF2, sc.QQ, sc.GF2), ["Q", "GF(2)"])):
@@ -161,15 +171,19 @@ class TestBuildFactTable:
             assert calls == expected
             assert list(t.scm_by_field) == expected
 
-    def test_ghosted_complex_skips_ghost_sensitive_rules(self):
+    def test_ghosted_complex_skips_ghost_sensitive_rules(self, monkeypatch):
         # two edges of a path: dual facets miss a single vertex each, the
         # shelling-to-gcd implication does not apply
+        derived = counting(monkeypatch, "gcd_order_from_dual")
+        searched = counting(monkeypatch, "find_strong_gcd_order")
         c = sc.from_facets(sc.VertexSet.of(range(1, 4)), [{1, 2}, {2, 3}])
         d = sc.alexander_dual(c)
         t = build_fact_table(d)  # d has a ghost vertex
         assert not t.ghost_free
         assert t.slots["dual_shellable"].value == TRUE
         assert t.slots["strong_gcd"].value == FALSE  # no conflict raised
+        # the dual's shelling is no strong gcd-order here, so the search decides
+        assert derived == [] and len(searched) == 1
 
     def test_no_conflicts_on_random_samples(self):
         for c in seeded_complexes(50, seed=135, n_range=(3, 6)):
@@ -192,6 +206,72 @@ class TestBuildFactTable:
             assert t.flag
             vals = set(t.values())
             assert len(vals) == 1, t.as_text()
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call facts makes to one of its imports."""
+    calls = []
+    fn = getattr(facts, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(facts, name, wrapped)
+    return calls
+
+
+def searched_table(c):
+    """A fact table with every slot decided on its own: the shelling search,
+    the strong gcd search and the dual's sweep, then the closure."""
+    t = FactTable(c, flag=sc.is_flag(c), ghost_free=not c.has_ghost_vertices)
+    dual = sc.alexander_dual(c)
+    for name, find, arg in (("dual_shellable", sc.find_shelling_order, dual),
+                            ("strong_gcd", sc.find_strong_gcd_order, c)):
+        with contextlib.suppress(sc.Undecided):
+            t._set(name, FALSE if find(arg) is None else TRUE, "computed")
+    if not dual.is_void:
+        reports = cm_reports(sc.is_sequentially_cm, sc.restrict_to_support(dual), sc.DEFAULT_FIELDS)
+        t.scm_by_field = {str(f): rep.ok for f, rep in reports}
+        verdicts = set(t.scm_by_field.values())
+        if len(verdicts) == 1:
+            t._set("dual_seq_cm", TRUE if verdicts.pop() else FALSE, "computed")
+    if not t.flag:
+        t.slots["golod"].value = OUT_OF_SCOPE
+    return close_under_rules(t)
+
+
+class TestShellingCertificate:
+    """A shelling of the dual of a ghost-free complex settles the strong gcd slot."""
+
+    def test_validated_order_replaces_the_gcd_search(self, monkeypatch):
+        checked = counting(monkeypatch, "check_strong_gcd_order")
+        searched = counting(monkeypatch, "find_strong_gcd_order")
+        c = catalog.FIXTURES["gcd-violator-dual"]()
+        t = build_fact_table(c)
+        assert t.ghost_free
+        assert (t.slots["strong_gcd"].value, t.slots["strong_gcd"].provenance) == (TRUE, "computed")
+        assert searched == []
+        [(on, order)] = checked
+        assert on is c and order.kind == sc.STRONG_GCD
+        shelling = sc.find_shelling_order(sc.alexander_dual(c))
+        assert order.sequence == sc.gcd_order_from_dual(c, shelling).sequence
+
+    def test_rejected_order_falls_back_to_one_search(self, monkeypatch):
+        monkeypatch.setattr(facts, "check_strong_gcd_order", lambda c, order: sc.CheckReport(False))
+        searched = counting(monkeypatch, "find_strong_gcd_order")
+        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())
+        assert (t.slots["strong_gcd"].value, t.slots["strong_gcd"].provenance) == (TRUE, "computed")
+        assert len(searched) == 1
+
+    def test_same_table_as_searching_every_slot(self, small_complexes):
+        shelled = 0
+        for c in small_complexes:
+            t, expected = build_fact_table(c), searched_table(c)
+            assert t.values() == expected.values(), c.facet_members()
+            assert t.scm_by_field == expected.scm_by_field
+            shelled += bool(t.scm_by_field) and t.value("dual_shellable") == TRUE
+        assert shelled >= 80  # the certificate path is really taken
 
 
 class TestIndependentFlagLegs:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellcert as sc
+from shellcert import catalog
 from shellcert.cli import EX_FAIL, EX_INPUT, EX_INTERNAL, EX_OK, EX_UNDECIDED, main
 from shellcert.formats import parse_complex, to_json_document, to_text
 
@@ -24,6 +25,62 @@ MALFORMED_JSON = [
     pytest.param('{"vertices": {"a": 1}, "facets": []}', id="vertices-object"),
     pytest.param('{"vertices": ' + "[" * 100000 + "]" * 100000 + "}", id="nested-100000-deep"),
 ]
+
+
+# `shellcert table --fixture NAME`, line by line
+TABLE_GOLDEN = {
+    "strong-gcd-witness": [
+        "catalog claim: ('F', 'T', 'F', 'T')",
+        "dual shellable: F            (computed)",
+        "strong gcd:     T            (computed)",
+        "dual seq. CM:   F            (computed)",
+        "Golod:          T            (inferred:gcd-implies-golod)",
+    ],
+    "strong-gcd-witness-dual": [
+        "dual shellable: T            (computed)",
+        "strong gcd:     T            (computed)",
+        "dual seq. CM:   T            (inferred:shelling-implies-seq-cm)",
+        "Golod:          T            (inferred:gcd-implies-golod)",
+    ],
+    "dunce-hat": [
+        "dual shellable: F            (computed)",
+        "strong gcd:     F            (computed)",
+        "dual seq. CM:   F            (computed)",
+        "Golod:          out-of-scope [no algebraic verification performed]",
+    ],
+    "dunce-hat-dual": [
+        "catalog claim: ('F', 'T', 'T', 'T')",
+        "dual shellable: F            (computed)",
+        "strong gcd:     T            (computed)",
+        "dual seq. CM:   T            (computed)",
+        "Golod:          T            (inferred:gcd-implies-golod)",
+    ],
+    "gcd-violator": [
+        "catalog claim: ('F', 'F', 'F', 'claim:T')",
+        "dual shellable: F            (computed)",
+        "strong gcd:     F            (computed)",
+        "dual seq. CM:   F            (computed)",
+        "Golod:          out-of-scope [no algebraic verification performed]",
+    ],
+    "gcd-violator-dual": [
+        "dual shellable: T            (computed)",
+        "strong gcd:     T            (computed)",
+        "dual seq. CM:   T            (inferred:shelling-implies-seq-cm)",
+        "Golod:          T            (inferred:gcd-implies-golod)",
+    ],
+    "pentagon": [
+        "dual shellable: F            (computed)",
+        "strong gcd:     F            (computed)",
+        "dual seq. CM:   F            (computed)",
+        "Golod:          F            (inferred:flag-equivalence)",
+    ],
+    "projective-plane": [
+        "dual shellable: F            (computed)",
+        "strong gcd:     T            (computed)",
+        "dual seq. CM:   unknown      [field-dependent: {'GF(2)': False, 'Q': True}]",
+        "Golod:          T            (inferred:gcd-implies-golod)",
+    ],
+}
 
 
 class TestParse:
@@ -267,11 +324,12 @@ class TestCli:
         assert code == 2 and "degenerate" in out
 
     def test_table(self, capsys):
-        code, out, _ = self.run(["table", "--fixture", "strong-gcd-witness"], capsys)
-        assert code == 0
-        assert "dual shellable: F" in out
-        assert "strong gcd:     T" in out
-        assert "inferred:gcd-implies-golod" in out
+        # every line of every fixture's table, provenance and notes included
+        for name, expected in TABLE_GOLDEN.items():
+            code, out, _ = self.run(["table", "--fixture", name], capsys)
+            assert code == EX_OK, name
+            assert out.splitlines() == expected, name
+        assert set(TABLE_GOLDEN) == set(catalog.FIXTURES)
 
     def test_table_undecided_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 10)

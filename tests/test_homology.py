@@ -6,12 +6,18 @@ import pytest
 
 import shellcert as sc
 from shellcert import homology
-from shellcert.catalog import dunce_hat, gcd_violator, pentagon_circle, projective_plane
+from shellcert.catalog import FIXTURES, dunce_hat, gcd_violator, pentagon_circle, projective_plane
 from shellcert.complexes import VertexSet, _faces_by_size
 from shellcert.homology import rank_gf2, rank_sparse
 
 from conftest import facet_sets, seeded_complexes
-from oracles import brute_reduced_homology, euler_from_faces, rref_rank
+from oracles import (
+    brute_reduced_homology,
+    brute_shelling_failure,
+    euler_from_faces,
+    homology_facet_counts,
+    rref_rank,
+)
 
 
 def cx(n, facets):
@@ -142,6 +148,25 @@ class TestReducedHomology:
                 prof = sc.reduced_homology(c, f)
                 expected = brute_reduced_homology(c.universe.labels, facet_sets(c), p)
                 assert dict(prof.ranks) == expected
+
+    def test_shellings_count_the_betti_numbers(self):
+        # homology facets of a validated shelling against elimination; the
+        # facet count shares no code with the search or the elimination
+        duals = [sc.alexander_dual(make()) for make in FIXTURES.values()]
+        shellable = [c for c in duals if not c.is_void and sc.find_shelling_order(c)]
+        assert len(shellable) == 2  # the duals of strong-gcd-witness-dual and gcd-violator-dual
+        shellable += seeded_complexes(60, seed=4141, n_range=(3, 7), density=(0.2, 0.6),
+                                      accept=lambda c: not c.is_void and sc.find_shelling_order(c))
+        wedges = 0
+        for c in shellable:
+            order = sc.find_shelling_order(c).members()
+            assert brute_shelling_failure(order) is None
+            counts = homology_facet_counts(order)
+            wedges += bool(counts)
+            for f in (sc.GF2, sc.QQ):
+                ranks = {d: r for d, r in sc.reduced_homology(c, f).ranks if r}
+                assert ranks == counts
+        assert wedges >= 20  # the sample is not all contractible
 
     def test_euler_identity_on_samples(self, small_complexes):
         for c in small_complexes[:100]:
