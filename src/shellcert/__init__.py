@@ -11,8 +11,10 @@ from .complexes import (
     VOID_DIM,
     Complex,
     InputError,
+    ChordalCertificate,
     VertexSet,
     alexander_dual,
+    chordal_certificate,
     all_faces,
     from_facets,
     from_minimal_nonfaces,
@@ -50,6 +52,7 @@ from .orders import (
     check_shelling_order,
     check_strong_gcd_order,
     check_weak_shelling_order,
+    dual_shelling_from_elimination_order,
     find_shelling_order,
     find_strong_gcd_order,
     find_weak_shelling_order,
@@ -62,13 +65,13 @@ __version__ = "0.1.0"
 __all__ = [
     "VOID_DIM", "InputError", "VertexSet", "Complex",
     "from_facets", "from_minimal_nonfaces", "minimal_nonfaces", "alexander_dual",
-    "link", "pure_skeleton", "is_flag", "all_faces",
+    "link", "pure_skeleton", "is_flag", "ChordalCertificate", "chordal_certificate", "all_faces",
     "reduced_euler_characteristic", "restrict_to_support",
     "SHELLING", "WEAK_SHELLING", "STRONG_GCD",
     "OrderCertificate", "CheckReport", "StepWitness", "PairWitness", "Undecided",
     "check_shelling_order", "check_weak_shelling_order", "check_strong_gcd_order",
     "find_shelling_order", "find_weak_shelling_order", "find_strong_gcd_order",
-    "gcd_order_from_dual", "is_trivially_weakly_shellable",
+    "gcd_order_from_dual", "dual_shelling_from_elimination_order", "is_trivially_weakly_shellable",
     "Field", "GF2", "QQ", "DEFAULT_FIELDS", "HomologyProfile", "CMReport", "CMWitness",
     "reduced_homology", "is_cohen_macaulay", "is_sequentially_cm",
     "FactTable", "FactConflict", "build_fact_table",

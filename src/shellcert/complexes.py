@@ -31,6 +31,8 @@ __all__ = [
     "link",
     "pure_skeleton",
     "is_flag",
+    "ChordalCertificate",
+    "chordal_certificate",
     "all_faces",
     "reduced_euler_characteristic",
     "restrict_to_support",
@@ -301,6 +303,96 @@ def pure_skeleton(c: Complex, i: int) -> Complex:
 def is_flag(c: Complex) -> bool:
     """True iff every minimal non-face has exactly two elements (vacuous for the full simplex)."""
     return all(m.bit_count() == 2 for m in c._nonfaces)
+
+
+@dataclass(frozen=True)
+class ChordalCertificate:
+    """The verdict of ``chordal_certificate`` on the 1-skeleton G of a complex.
+
+    When ``chordal`` is True, ``vertices`` is a perfect elimination order of
+    G: the neighbours of each vertex that come after it are pairwise
+    adjacent.  Otherwise ``vertices`` is a chordless cycle of G with at least
+    four vertices, in cyclic order.  Vertices are labels.
+    """
+
+    chordal: bool
+    vertices: tuple
+
+
+def _shortest_path(adj: Sequence[int], allowed: int, a: int, b: int):
+    """Vertex indices of a shortest a-b path inside ``allowed``, or None.
+
+    Breadth-first by layers of bitmasks; each step back to a takes the
+    lowest-index neighbour in the layer before.
+    """
+    layers = [1 << a]
+    seen = 1 << a
+    while not layers[-1] >> b & 1:
+        nxt = 0
+        for u in _bit_indices(layers[-1]):
+            nxt |= adj[u]
+        nxt &= allowed & ~seen
+        if not nxt:
+            return None
+        seen |= nxt
+        layers.append(nxt)
+    path = [b]
+    for layer in reversed(layers[:-1]):
+        near = adj[path[-1]] & layer
+        path.append((near & -near).bit_length() - 1)
+    return path[::-1]
+
+
+def chordal_certificate(c: Complex) -> ChordalCertificate:
+    """A perfect elimination order of the 1-skeleton G of c, or a chordless
+    cycle of G with at least four vertices.
+
+    Maximum cardinality search (Tarjan and Yannakakis, "Simple linear-time
+    algorithms to test chordality of graphs", SIAM J. Comput. 13, 1984)
+    numbers the vertices, taking each time an unnumbered vertex with the most
+    numbered neighbours, the lowest index on ties; G is chordal exactly when
+    the reverse of that numbering is a perfect elimination order, which is
+    then checked directly.  Otherwise a hole is found as follows.  For a
+    vertex v with non-adjacent neighbours a and b, a shortest a-b path in G
+    less v and the other neighbours of v is induced and misses v's other
+    neighbours, so v closes it into a chordless cycle of length at least
+    four.  Every such cycle passes through some triple (v, a, b) of this
+    kind, so trying them all, in index order, finds one.  Everything is a
+    bitmask of at most n bits, so the search is O(n^2) word operations and
+    the hole hunt O(n^4) in the worst case.
+    """
+    n = c.universe.n
+    full = c.universe.full_mask
+    adj = [0] * n
+    for F in c.facets:
+        for v in _bit_indices(F):
+            adj[v] |= F ^ 1 << v
+    weight = [0] * n
+    left = full
+    visit = []
+    while left:
+        v = max(_bit_indices(left), key=weight.__getitem__)
+        visit.append(v)
+        left ^= 1 << v
+        for u in _bit_indices(adj[v] & left):
+            weight[u] += 1
+    peo = visit[::-1]
+    later = full
+    for v in peo:
+        later ^= 1 << v
+        after = adj[v] & later
+        if any(after & ~adj[u] & ~(1 << u) for u in _bit_indices(after)):
+            break
+    else:
+        return ChordalCertificate(True, tuple(c.universe.labels[v] for v in peo))
+    for v in range(n):
+        for a in _bit_indices(adj[v]):
+            for b in _bit_indices(adj[v] & ~adj[a] & ~((2 << a) - 1)):
+                allowed = full & ~(1 << v | adj[v]) | 1 << a | 1 << b
+                path = _shortest_path(adj, allowed, a, b)
+                if path:
+                    return ChordalCertificate(False, tuple(c.universe.labels[x] for x in [v] + path))
+    raise AssertionError("no perfect elimination order and no chordless cycle")
 
 
 def _faces_by_size(facets: Sequence[int]) -> list:

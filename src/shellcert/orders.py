@@ -76,6 +76,7 @@ from .complexes import (
     _incidence,
     _maximal,
     alexander_dual,
+    is_flag,
     minimal_nonfaces,
 )
 
@@ -96,6 +97,7 @@ __all__ = [
     "find_weak_shelling_order",
     "find_strong_gcd_order",
     "gcd_order_from_dual",
+    "dual_shelling_from_elimination_order",
     "is_trivially_weakly_shellable",
 ]
 
@@ -465,3 +467,33 @@ def gcd_order_from_dual(c: Complex, order: OrderCertificate) -> OrderCertificate
     """
     full = c.universe.full_mask
     return OrderCertificate(STRONG_GCD, c, tuple(full ^ f for f in reversed(order.sequence)))
+
+
+def dual_shelling_from_elimination_order(c: Complex, peo: Sequence) -> OrderCertificate:
+    """A shelling order of the dual of a flag complex, read off a perfect
+    elimination order of its 1-skeleton (vertex labels, as
+    ``complexes.chordal_certificate`` gives them).
+
+    The minimal non-faces of a flag complex are the non-edges of its
+    1-skeleton, and the dual's facets are their complements.  The non-edges
+    are sorted by the position of their earlier vertex, then of their later
+    one, and each is complemented.  When ``peo`` is a perfect elimination
+    order this is a shelling.  The dual is pure, so the condition is that
+    for non-edges e_i before e_j some e_k before e_j lies in the union of
+    the two and meets e_j in one vertex.  If e_i meets e_j, e_i is that
+    e_k.  Otherwise write e_i = {a', b'} and e_j = {a, b} with a' before b'
+    and a before b; a' comes before a, since the two are disjoint.  The
+    neighbours of a' after it are pairwise adjacent and a, b are not, so
+    {a', a} or {a', b} is a non-edge; it comes before e_j and meets it in
+    one vertex.  Any other vertex order gives a permutation of the facets
+    that ``check_shelling_order`` may reject.
+    """
+    u = c.universe
+    bits = [u.mask([v]) for v in peo]
+    if sorted(bits) != [1 << i for i in range(u.n)]:
+        raise InputError("order is not a permutation of the vertices")
+    if not is_flag(c):
+        raise InputError("the complex is not flag: some minimal non-face is not an edge")
+    pos = {b.bit_length() - 1: i for i, b in enumerate(bits)}
+    nonedges = sorted(minimal_nonfaces(c), key=lambda e: sorted(pos[v] for v in _bit_indices(e)))
+    return OrderCertificate(SHELLING, alexander_dual(c), tuple(u.full_mask ^ e for e in nonedges))

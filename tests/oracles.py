@@ -123,3 +123,30 @@ def homology_facet_counts(order):
         if all(any(facet - {v} <= f for f in order[:j]) for v in facet):
             counts[len(facet) - 1] = counts.get(len(facet) - 1, 0) + 1
     return counts
+
+
+def skeleton_edges(facet_sets):
+    """The edges of a complex's 1-skeleton, as 2-element frozensets."""
+    return {frozenset(e) for f in facet_sets for e in combinations(sorted(f, key=repr), 2)}
+
+
+def brute_chordless_cycle(vertices, edges):
+    """A vertex set W with at least four members whose induced graph is
+    connected and 2-regular, that is a chordless cycle, or None; by listing
+    every subset of the vertices."""
+    edges = {frozenset(e) for e in edges}
+    for w in powerset(vertices):
+        if len(w) < 4:
+            continue
+        nbrs = {v: {u for u in w if frozenset((u, v)) in edges} for v in w}
+        if any(len(n) != 2 for n in nbrs.values()):
+            continue
+        start = next(iter(w))
+        seen, todo = {start}, [start]
+        while todo:
+            for u in nbrs[todo.pop()] - seen:
+                seen.add(u)
+                todo.append(u)
+        if seen == w:
+            return w
+    return None

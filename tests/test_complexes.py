@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import shellcert as sc
 from shellcert.complexes import VertexSet, _maximal, _minimal_transversals
 
-from conftest import facet_sets, seeded_complexes
-from oracles import brute_minimal_nonfaces
+from conftest import facet_sets, seeded_complexes, seeded_flag_complexes
+from oracles import brute_chordless_cycle, brute_minimal_nonfaces, skeleton_edges
 
 
 def cx(n_or_labels, facets):
@@ -262,6 +262,50 @@ class TestFlag:
 
     def test_full_simplex_vacuously_flag(self):
         assert sc.is_flag(cx(3, [{1, 2, 3}]))
+
+
+def is_perfect_elimination_order(order, edges):
+    """Each vertex's neighbours after it in the order are pairwise adjacent."""
+    return all(frozenset((a, b)) in edges
+               for i, v in enumerate(order)
+               for a, b in combinations([u for u in order[i + 1:] if frozenset((u, v)) in edges], 2))
+
+
+def is_chordless_cycle(cycle, edges):
+    """Four or more distinct vertices, adjacent exactly when consecutive (cyclically)."""
+    k = len(cycle)
+    return k >= 4 and len(set(cycle)) == k and all(
+        (frozenset((cycle[i], cycle[j])) in edges) == ((j - i) % k in (1, k - 1))
+        for i, j in combinations(range(k), 2))
+
+
+class TestChordalCertificate:
+    def test_small_graphs(self):
+        assert sc.chordal_certificate(cx(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}])) == \
+            sc.ChordalCertificate(False, (1, 2, 3, 4))
+        assert sc.chordal_certificate(cx(4, [{1, 2}, {2, 3}, {3, 4}])) == \
+            sc.ChordalCertificate(True, (4, 3, 2, 1))
+        # a hexagon with one chord: the hole is the pentagon it leaves
+        hexagon = cx(6, [{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}, {1, 3}])
+        assert sc.chordal_certificate(hexagon) == sc.ChordalCertificate(False, (1, 3, 4, 5, 6))
+        # a ghost vertex is an isolated vertex of the 1-skeleton
+        assert sc.chordal_certificate(cx(3, [{1, 2}])).chordal
+
+    def test_against_brute_force_on_seeded_flags(self):
+        kinds = {True: 0, False: 0}
+        for c in seeded_flag_complexes(300, seed=1984, n_range=(4, 8)):
+            cert = sc.chordal_certificate(c)
+            edges = skeleton_edges(facet_sets(c))
+            hole = brute_chordless_cycle(c.universe.labels, edges)
+            if cert.chordal:
+                assert hole is None, hole
+                assert sorted(cert.vertices) == list(c.universe.labels)
+                assert is_perfect_elimination_order(cert.vertices, edges)
+            else:
+                assert hole is not None
+                assert is_chordless_cycle(cert.vertices, edges), cert
+            kinds[cert.chordal] += 1
+        assert min(kinds.values()) >= 80
 
 
 class TestHelpers:

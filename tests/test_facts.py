@@ -1,4 +1,5 @@
 import contextlib
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from shellcert.catalog import dunce_hat, gcd_violator, strong_gcd_witness
 from shellcert.facts import (
     FALSE,
     OUT_OF_SCOPE,
+    SLOTS,
     TRUE,
     UNKNOWN,
     FactConflict,
@@ -18,7 +20,8 @@ from shellcert.facts import (
 )
 from shellcert.homology import cm_reports
 
-from conftest import seeded_complexes
+from conftest import seeded_complexes, seeded_flag_complexes
+from oracles import brute_chordless_cycle
 
 
 def table_with(flag=False, **values):
@@ -291,3 +294,60 @@ class TestIndependentFlagLegs:
             cm2 = sc.is_cohen_macaulay(support, sc.GF2).ok
             cmq = sc.is_cohen_macaulay(support, sc.QQ).ok
             assert shellable == gcd == cm2 == cmq
+
+
+class TestFlagTablesFromTheSkeleton:
+    """A flag table is read off the 1-skeleton: a perfect elimination order
+    shells the dual, a chordless cycle refutes its Cohen-Macaulayness."""
+
+    def test_reproducer_runs_no_search_and_no_sweep(self, monkeypatch):
+        # its dual has 27 facets, and the shelling search gives up on them
+        calls = [counting(monkeypatch, name)
+                 for name in ("find_shelling_order", "find_strong_gcd_order", "cm_reports")]
+        t = build_fact_table(sc.random_flag_complex(3, 9, 0.35))
+        assert t.values() == (FALSE, FALSE, FALSE, FALSE)
+        assert t.scm_by_field == {"GF(2)": False, "Q": False}
+        assert t.slots["dual_seq_cm"].provenance == "computed"
+        assert t.slots["dual_seq_cm"].note.startswith("chordless cycle ")
+        assert calls == [[], [], []]
+
+    def test_rejected_elimination_shelling_falls_back_to_one_search(self, monkeypatch):
+        path = sc.from_facets(sc.VertexSet.of(range(1, 5)), [{1, 2}, {2, 3}, {3, 4}])
+        assert sc.chordal_certificate(path).chordal
+        searched = counting(monkeypatch, "find_shelling_order")
+        assert build_fact_table(path).values() == (TRUE, TRUE, TRUE, TRUE)
+        assert searched == []
+        monkeypatch.setattr(facts, "check_shelling_order", lambda c, order: sc.CheckReport(False))
+        t = build_fact_table(path)
+        assert t.values() == (TRUE, TRUE, TRUE, TRUE)
+        assert (t.slots["dual_shellable"].provenance, len(searched)) == ("computed", 1)
+
+    def test_zero_link_homology_falls_back_to_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(facts, "reduced_homology", lambda c, field: sc.HomologyProfile(field, ()))
+        swept = counting(monkeypatch, "cm_reports")
+        t = build_fact_table(catalog.FIXTURES["pentagon"]())
+        assert t.values() == (FALSE, FALSE, FALSE, FALSE)
+        assert t.scm_by_field == {"GF(2)": False, "Q": False}
+        assert (t.slots["dual_seq_cm"].provenance, t.slots["dual_seq_cm"].note) == ("computed", "")
+        assert len(swept) == 1
+
+    def test_every_graph_on_five_vertices(self):
+        # the clique complex's table is all T exactly when the graph has no hole
+        for n in range(1, 6):
+            u = sc.VertexSet.of(range(n))
+            pairs = [frozenset(e) for e in combinations(range(n), 2)]
+            for bits in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+                nonedges = [e for i, e in enumerate(pairs) if not bits >> i & 1]
+                c = (sc.from_minimal_nonfaces(u, nonedges) if nonedges
+                     else sc.from_facets(u, [range(n)]))
+                expected = FALSE if brute_chordless_cycle(range(n), edges) else TRUE
+                assert build_fact_table(c).values() == (expected,) * 4, edges
+
+    def test_same_table_as_searching_every_slot(self):
+        for c in seeded_flag_complexes(300, seed=2004, n_range=(4, 7)):
+            t, expected = build_fact_table(c), searched_table(c)
+            for name in SLOTS:
+                if expected.slots[name].decided:
+                    assert t.value(name) == expected.value(name), (name, c.facet_members())
+            assert t.scm_by_field == expected.scm_by_field

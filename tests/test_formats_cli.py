@@ -69,9 +69,9 @@ TABLE_GOLDEN = {
         "Golod:          T            (inferred:gcd-implies-golod)",
     ],
     "pentagon": [
-        "dual shellable: F            (computed)",
-        "strong gcd:     F            (computed)",
-        "dual seq. CM:   F            (computed)",
+        "dual shellable: F            (inferred:shelling-implies-seq-cm)",
+        "strong gcd:     F            (inferred:flag-equivalence)",
+        "dual seq. CM:   F            (computed) [chordless cycle 0-2-4-1-3: the link of its complement has H~_1 != 0]",
         "Golod:          F            (inferred:flag-equivalence)",
     ],
     "projective-plane": [

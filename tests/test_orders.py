@@ -8,7 +8,7 @@ from shellcert.catalog import FIXTURES
 from shellcert.complexes import VertexSet
 from shellcert.orders import _weak_moves
 
-from conftest import seeded_complexes
+from conftest import seeded_complexes, seeded_flag_complexes
 from oracles import brute_shelling_failure
 
 
@@ -614,3 +614,35 @@ class TestWeakFlagSharpening:
             for p in perms:
                 if sc.check_weak_shelling_order(dual, p).ok:
                     assert sc.check_shelling_order(dual, p).ok
+
+
+class TestDualShellingFromEliminationOrder:
+    def test_chordal_flags_get_a_shelling_of_the_dual(self):
+        shelled = 0
+        for c in seeded_flag_complexes(300, seed=1984, n_range=(4, 8)):
+            cert = sc.chordal_certificate(c)
+            if not cert.chordal:
+                continue
+            order = sc.dual_shelling_from_elimination_order(c, cert.vertices)
+            dual = sc.alexander_dual(c)
+            assert order.kind == sc.SHELLING and order.complex == dual
+            # the non-edges, by the positions of their earlier then later vertex
+            pos = {v: i for i, v in enumerate(cert.vertices)}
+            keys = [sorted(pos[v] for v in set(c.universe.labels) - set(F)) for F in order.members()]
+            assert keys == sorted(keys)
+            assert oracle_report(dual, order.sequence) == sc.CheckReport(True)
+            shelled += 1
+        assert shelled >= 80
+
+    def test_other_vertex_orders_may_fail(self):
+        path = cx(4, [{1, 2}, {2, 3}, {3, 4}])
+        dual = sc.alexander_dual(path)
+        for order, ok in (((4, 3, 2, 1), True), ((2, 1, 3, 4), False)):
+            got = sc.dual_shelling_from_elimination_order(path, order)
+            assert sc.check_shelling_order(dual, got).ok is ok
+
+    def test_input_errors(self):
+        with pytest.raises(sc.InputError):  # not flag: the hollow triangle
+            sc.dual_shelling_from_elimination_order(cx(3, [{1, 2}, {2, 3}, {1, 3}]), (1, 2, 3))
+        with pytest.raises(sc.InputError):  # not a permutation
+            sc.dual_shelling_from_elimination_order(cx(3, [{1, 2}, {2, 3}]), (1, 2, 2))
