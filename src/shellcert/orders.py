@@ -57,6 +57,14 @@ F_i & F_j inside F_k.
   its placed partners are saved, and every later facet's prefix only gains x,
   while each pair {x, l} is already saved.
 
+A shelling search has one exact refutation at its root.  A pure complex of
+dimension d whose every ridge lies in at least two facets, and whose facets'
+boundary rows are independent over GF(2), has no shelling.  The last facet
+of a shelling would meet its predecessors in its whole boundary, which makes
+it a homology facet (Bjorner-Wachs 1996, Lemma 2.6 and Thm 4.1), so
+H~_d(c; Z) would be nonzero; a primitive integral d-cycle stays nonzero mod
+2, so the rows would be dependent.  The dunce hat is refuted this way.
+
 Strong gcd-orders are decided through the dual complex: an order of the
 minimal non-faces is a strong gcd-order exactly when the reversed complement
 order is a weak shelling order of the dual, and the weak condition is
@@ -66,6 +74,7 @@ prefix-closed while the gcd condition is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence, Union
 
 from .complexes import (
@@ -79,6 +88,7 @@ from .complexes import (
     is_flag,
     minimal_nonfaces,
 )
+from .homology import rank_gf2
 
 __all__ = [
     "SHELLING",
@@ -206,13 +216,16 @@ def check_strong_gcd_order(c: Complex, order) -> CheckReport:
     after i other than j itself, including positions after j.
     """
     seq = _as_sequence(c, order, minimal_nonfaces(c), "minimal non-faces")
-    r = len(seq)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if seq[i] & seq[j]:
+    for i, a in enumerate(seq):
+        later = seq[i + 1:]
+        for j, b in enumerate(later, i + 1):
+            if a & b:
                 continue
-            union = seq[i] | seq[j]
-            if not any(k != j and seq[k] & ~union == 0 for k in range(i + 1, r)):
+            outside = ~(a | b)
+            for x in later:  # the masks are distinct, so x != b means k != j
+                if not x & outside and x != b:
+                    break
+            else:
                 return CheckReport(False, PairWitness(i, j))
     return CheckReport(True)
 
@@ -407,6 +420,41 @@ def _weak_moves(facets: Sequence[int], full: int):
     return moves
 
 
+def _closed_and_acyclic(c: Complex) -> bool:
+    """True when c is pure, every ridge of a facet lies in at least two
+    facets, and the facets' boundary rows are independent over GF(2).
+
+    Such a complex has no shelling (see ``find_shelling_order``).  The gates
+    run cheapest first: purity; at most C(|support|, dim) facets, since
+    independent rows need at least as many distinct ridges; a ridge in one
+    facet only; and last the rank.
+    """
+    facets = c.facets
+    if not facets:
+        return False
+    size = facets[0].bit_count()
+    if not size or facets[-1].bit_count() != size:
+        return False
+    if len(facets) > comb(c.support.bit_count(), size - 1):
+        return False
+    column: dict[int, int] = {}  # ridge -> its column
+    once = twice = 0  # the columns met in at least one facet, in at least two
+    rows = []
+    for F in facets:
+        row = 0
+        rest = F
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= 1 << column.setdefault(F ^ low, len(column))
+        twice |= once & row
+        once |= row
+        rows.append(row)
+    if once != twice:
+        return False
+    return rank_gf2(rows) == len(facets)
+
+
 def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:
     facets = c.facets
     moves = condition(facets, c.universe.full_mask)
@@ -424,7 +472,20 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     A returned order lists the facets by non-increasing size.  None is a
     proof at any size; Undecided is raised when the search visits
     ``NODE_BUDGET`` prefix-sets without an answer.
+
+    Before any search, a pure complex of dimension d >= 0 whose every ridge
+    lies in two facets and whose facets' boundary rows are independent over
+    GF(2) returns None.  Proof: in a shelling, every ridge of the last facet
+    F lies in an earlier facet, so F meets the earlier ones in its whole
+    boundary and its restriction R(F) is F.  Then H~_d(c; Z) is nonzero
+    (Bjorner-Wachs, "Shellable nonpure complexes and posets I", Trans. AMS
+    348 (1996), Thm 4.1).  With no (d+1)-faces it is the group of d-cycles,
+    and a nonzero cycle divided by the gcd of its coefficients has an odd
+    one, so it stays a nonzero cycle mod 2: the rows are dependent.  This
+    settles the dunce hat and its suspensions without a search.
     """
+    if _closed_and_acyclic(c):
+        return None
     return _search(c, SHELLING, _shelling_moves)
 
 

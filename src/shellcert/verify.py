@@ -70,7 +70,7 @@ def _claims():
     yield ("dunce hat: Cohen-Macaulay over GF(2) and Q",
            lambda: (bool(is_cohen_macaulay(d, GF2)) and bool(is_cohen_macaulay(d, QQ)), ""))
 
-    yield ("dunce hat: no shelling order (subset search over all 17 facets)",
+    yield ("dunce hat: no shelling order (pure, every ridge in two facets, no top GF(2) cycle)",
            lambda: (find_shelling_order(d) is None, ""))
 
     yield ("dunce hat: trivially weakly shellable (8 vertices >= 2*2 + 3)",

@@ -282,6 +282,49 @@ class TestFindStrongGcd:
         assert cert2 is not None and len(cert2.sequence) == 1
 
 
+def triple_loop_gcd_check(seq):
+    """``check_strong_gcd_order`` on a sequence of masks, as a plain triple loop."""
+    r = len(seq)
+    for i in range(r):
+        for j in range(i + 1, r):
+            if seq[i] & seq[j]:
+                continue
+            union = seq[i] | seq[j]
+            if not any(k != j and seq[k] & ~union == 0 for k in range(i + 1, r)):
+                return sc.CheckReport(False, sc.PairWitness(i, j))
+    return sc.CheckReport(True)
+
+
+class TestStrongGcdCheck:
+    def test_every_violator_order_matches_the_triple_loop(self):
+        from shellcert.catalog import gcd_violator
+        c = gcd_violator()
+        witnesses = set()
+        for p in permutations(sc.minimal_nonfaces(c)):
+            rep = sc.check_strong_gcd_order(c, p)
+            assert rep == triple_loop_gcd_check(p)
+            witnesses.add((rep.witness.i, rep.witness.j))
+        assert len(witnesses) > 1
+
+    def test_seeded_orders_match_the_triple_loop(self):
+        rng = random.Random(8128)
+        oks = set()
+        for c in seeded_complexes(150, seed=4096, n_range=(4, 8)):
+            nf = list(sc.minimal_nonfaces(c))
+            orders = [tuple(nf), tuple(reversed(nf))]
+            for _ in range(5):
+                rng.shuffle(nf)
+                orders.append(tuple(nf))
+            cert = sc.find_strong_gcd_order(c)
+            if cert is not None:
+                orders.append(cert.sequence)
+            for seq in orders:
+                rep = sc.check_strong_gcd_order(c, seq)
+                assert rep == triple_loop_gcd_check(seq)
+                oks.add(rep.ok)
+        assert oks == {True, False}
+
+
 class TestTrivialWeak:
     def test_dunce_hat(self):
         from shellcert.catalog import dunce_hat
@@ -474,6 +517,57 @@ class TestEngine:
                     assert a.sequence == b.sequence
 
 
+def suspension(c):
+    """The join of c with two new points, on vertices 0..n+1: each facet F of
+    c, as vertex indices, gives F + n and F + n + 1."""
+    n = c.universe.n
+    facets = [[i for i in range(n) if F >> i & 1] + [v] for F in c.facets for v in (n, n + 1)]
+    return sc.from_facets(VertexSet.of(range(n + 2)), facets)
+
+
+class TestTopCycleRefutation:
+    """A pure complex with no free ridge and no top GF(2) cycle has no
+    shelling; ``find_shelling_order`` says so before any search."""
+
+    def test_dunce_hat_and_its_suspensions_need_no_search(self, monkeypatch):
+        from shellcert import orders
+        from shellcert.catalog import dunce_hat
+
+        d = dunce_hat()
+        assert not order_exists_by_reachability(d, sc.check_shelling_order)
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(orders, "_search", no_search)
+        cases = [d, suspension(d), suspension(suspension(d))]
+        assert [len(c.facets) for c in cases] == [17, 34, 68]
+        for c in cases:
+            assert c.is_pure
+            assert sc.reduced_homology(c, sc.GF2).rank(c.dim) == 0
+            assert sc.find_shelling_order(c) is None
+
+    def test_never_fires_where_a_top_cycle_or_a_shelling_exists(self):
+        from shellcert import orders
+
+        def cx0(n, facets):
+            return sc.from_facets(VertexSet.of(range(n)), facets)
+
+        boundaries = [cx0(n, combinations(range(n), n - 1)) for n in range(2, 9)]
+        graphs = [cx0(n, combinations(range(n), 2)) for n in range(2, 13)]
+        duals = [sc.alexander_dual(g) for g in graphs if g.universe.n <= 10]
+        points = [cx0(n, [(v,) for v in range(n)]) for n in range(1, 6)]
+        empty = [cx0(0, [()]), cx0(3, [()])]
+        fixed = boundaries + graphs + duals + points + empty
+        for c in fixed:
+            assert not orders._closed_and_acyclic(c)
+        sample = seeded_complexes(400, seed=1996, n_range=(4, 9),
+                                  accept=lambda c: c.is_pure and len(c.facets) >= 2)
+        for c in fixed + sample:
+            assert sc.find_shelling_order(c) == orders._search(
+                c, orders.SHELLING, orders._shelling_moves)
+
+
 class TestShellingMasks:
     """The masks of ``_shelling_moves``, which recheck only the facets whose
     answer can change, against a full recheck of the current layer."""
@@ -505,11 +599,15 @@ class TestShellingMasks:
                                   accept=lambda c: c.is_pure and len(c.facets) >= 4)
         sample += seeded_complexes(50, seed=6174, n_range=(5, 9),
                                    accept=lambda c: not c.is_pure and len(c.facets) >= 4)
-        cases = graphs + sample + [dunce_hat()]
-        for c in cases + [sc.alexander_dual(c) for c in cases]:
+        cases = graphs + sample
+        for c in cases + [sc.alexander_dual(c) for c in cases + [dunce_hat()]]:
             cert = sc.find_shelling_order(c)
             if cert is not None:
                 assert sc.check_shelling_order(c, cert)
+        # find_shelling_order refutes the dunce hat before searching, so drive the engine
+        before = len(carried)
+        assert orders._search(dunce_hat(), orders.SHELLING, orders._shelling_moves) is None
+        assert len(carried) > before
         monkeypatch.setattr(orders, "NODE_BUDGET", 2000)
         with pytest.raises(sc.Undecided):
             sc.find_shelling_order(cone_over_star_plus_triangle(21))
