@@ -52,7 +52,6 @@ from .orders import (
     check_shelling_order,
     check_strong_gcd_order,
     check_weak_shelling_order,
-    dual_shelling_from_elimination_order,
     find_shelling_order,
     find_strong_gcd_order,
     find_weak_shelling_order,
@@ -71,7 +70,7 @@ __all__ = [
     "OrderCertificate", "CheckReport", "StepWitness", "PairWitness", "Undecided",
     "check_shelling_order", "check_weak_shelling_order", "check_strong_gcd_order",
     "find_shelling_order", "find_weak_shelling_order", "find_strong_gcd_order",
-    "gcd_order_from_dual", "dual_shelling_from_elimination_order", "is_trivially_weakly_shellable",
+    "gcd_order_from_dual", "is_trivially_weakly_shellable",
     "Field", "GF2", "QQ", "DEFAULT_FIELDS", "HomologyProfile", "CMReport", "CMWitness",
     "reduced_homology", "is_cohen_macaulay", "is_sequentially_cm",
     "FactTable", "FactConflict", "build_fact_table",

@@ -23,7 +23,6 @@ from .complexes import (
     alexander_dual,
     is_flag,
     minimal_nonfaces,
-    restrict_to_support,
 )
 from .facts import build_fact_table
 from .formats import parse_complex, to_json_document

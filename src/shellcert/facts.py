@@ -3,28 +3,25 @@
 The four slots are: is the Alexander dual shellable, does the complex satisfy
 the strong gcd-condition, is the dual sequentially Cohen-Macaulay, and is the
 Stanley-Reisner ring Golod.  The table is built certificate-first: the one
-search that runs on every complex that is not flag is for a shelling of the
-dual, and when it finds one the certificate settles the next two slots.  Reversed and complemented, it is
-a strong gcd-order, which is validated before the slot is set; and a
-shellable complex is sequentially Cohen-Macaulay over every field
+search that runs on every complex is for a shelling of the dual, and when it
+finds one the certificate settles the next two slots.  Reversed and
+complemented, it is a strong gcd-order, which is validated before the slot is
+set; and a shellable complex is sequentially Cohen-Macaulay over every field
 (Bjorner-Wachs, "Shellable nonpure complexes and posets I", Trans. AMS 348
-(1996)), so no link sweep runs.  Only without a shelling does the strong gcd
-search run and the dual's links get swept.  Golodness is never verified
-algebraically here.  Instead the known one-way implications act as inference
-rules,
+(1996)), so no link sweep runs.  Golodness is never verified algebraically
+here.  Instead the known one-way implications act as inference rules,
 
     dual shellable  =>  strong gcd      dual shellable  =>  dual seq. CM
     strong gcd      =>  Golod           dual seq. CM    =>  Golod
 
 and for flag complexes all four conditions are equivalent, so any decided
-slot settles the rest.  For a flag complex each of them holds exactly when
-its 1-skeleton G is chordal (Froberg's theorem, in the form of Herzog, Hibi
-and Zheng, "Dirac's theorem on chordal graphs and Alexander duality",
-European J. Combin. 25 (2004)), and G decides the table without a search: a
-perfect elimination order of G gives a shelling of the dual, and a chordless
-cycle of G gives a link of the dual that is not Cohen-Macaulay.  Each is
-validated before a slot is set.  Inferred values never overwrite computed
-ones; a contradiction between the two raises, it is a correctness failure.
+slot settles the rest.  The rules are closed before each computed slot, so
+the strong gcd search and the dual's link sweep run only for a slot the
+closure leaves undecided.  The shelling search refutes the dual of a flag
+complex whose 1-skeleton has a chordless cycle without searching
+(``orders.find_shelling_order`` has the proof).  Inferred values never
+overwrite computed ones; a contradiction between the two raises, it is a
+correctness failure.
 
 All rules except "dual shellable => dual seq. CM" assume the complex has no
 ghost vertices (a ghost vertex is a singleton minimal non-face, which gives
@@ -37,22 +34,13 @@ strong gcd slot is searched even when the dual is shellable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .complexes import (
-    Complex,
-    alexander_dual,
-    chordal_certificate,
-    is_flag,
-    link,
-    restrict_to_support,
-)
-from .homology import DEFAULT_FIELDS, Field, cm_reports, is_sequentially_cm, reduced_homology
+from .complexes import Complex, alexander_dual, is_flag, restrict_to_support
+from .homology import DEFAULT_FIELDS, Field, cm_reports, is_sequentially_cm
 from .orders import (
     Undecided,
-    check_shelling_order,
     check_strong_gcd_order,
-    dual_shelling_from_elimination_order,
     find_shelling_order,
     find_strong_gcd_order,
     gcd_order_from_dual,
@@ -179,124 +167,66 @@ def close_under_rules(table: FactTable):
 
 def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> FactTable:
     """Search the dual for a shelling, settle what its certificate settles,
-    compute the rest, then take the inference closure.
+    and compute each remaining slot that the inference closure leaves open.
 
     A shelling of the dual of a ghost-free complex, reversed and complemented
     (``orders.gcd_order_from_dual``), is a strong gcd-order; it must pass
     ``check_strong_gcd_order`` before the strong gcd slot is set to computed
-    T.  Without such a validated order (no shelling, an undecided search, a
-    ghosted complex, or a failed check) ``find_strong_gcd_order`` decides.
-    When the dual has a shelling and is not void, every requested field
-    records True in ``scm_by_field`` (each once, first-seen order) and the
-    sequential CM slot is left to the closure's shelling rule: no link is
-    swept.  Otherwise the dual is swept on its support: ghost vertices of the
-    dual correspond to generators already present in the Stanley-Reisner
-    ideal and do not change the quotient ring.  The fields are swept as
-    ``homology.cm_reports`` says: each once, and Q not after a prime field
-    has passed.  When the per-field verdicts disagree the slot stays
-    undecided and the note records the split.  A search that runs out of
-    ``orders.NODE_BUDGET`` leaves its slot unknown, with an "undecided" note,
-    rather than guessing.  The flag bit, the dual and the strong gcd search
-    all read the minimal non-faces of c, which the complex computes once (see
-    ``minimal_nonfaces``).
-
-    A flag complex with a non-void dual is decided from its 1-skeleton G
-    (``complexes.chordal_certificate``), with no search and no sweep.
-
-    * G chordal: its non-edges, sorted by a perfect elimination order and
-      complemented, are a shelling of the dual
-      (``orders.dual_shelling_from_elimination_order`` has the proof).  The
-      order must pass ``check_shelling_order``; it then stands in for the
-      search's shelling above.
-    * G with a chordless cycle C of k >= 4 vertices: let tau be the other
-      vertices.  The link of tau in the dual is the dual of the restriction
-      of c to C, which is the k-cycle, a circle; it has dimension k - 3, and
-      by Alexander duality its H~_{k-4} is Z.  The dual is pure (each facet
-      is the complement of a non-edge), so that link makes it neither
-      Cohen-Macaulay nor sequentially Cohen-Macaulay, over every field.  A
-      ghost vertex of the dual would lie in every non-edge, and a hole has
-      two disjoint ones, so the dual is the complex the sweep would test.
-      The homology is computed over each requested field before the
-      sequential CM slot is set to computed F and every field records
-      False; the closure infers the other slots.
-
-    When either certificate fails its check, the table is built as for any
-    other complex.
+    T, and a rejection raises FactConflict, since it contradicts the theorem
+    the order rests on.  Without such an order (no shelling, an undecided
+    search or a ghosted complex) ``find_strong_gcd_order`` decides, unless
+    the closure already has.  When the closure has decided the sequential
+    CM slot, every requested field records that value in ``scm_by_field``
+    (each once, first-seen order); nothing is recorded for the full simplex,
+    whose void dual has the empty shelling.  Otherwise the dual is swept on
+    its support: ghost vertices of the dual correspond to generators already
+    present in the Stanley-Reisner ideal and do not change the quotient
+    ring.  The fields are swept as ``homology.cm_reports`` says: each once,
+    and Q not after a prime field has passed.  When the per-field verdicts
+    disagree the slot stays undecided and the note records the split.  A search that runs out of ``orders.NODE_BUDGET`` leaves its
+    slot unknown, with an "undecided" note, rather than guessing.  The flag
+    bit, the dual and the strong gcd search all read the minimal non-faces
+    of c, which the complex computes once (see ``minimal_nonfaces``).
     """
     table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
-    dual = alexander_dual(c)
-
-    shelling = None
-    if table.flag and not dual.is_void:
-        skeleton = chordal_certificate(c)
-        if skeleton.chordal:
-            order = dual_shelling_from_elimination_order(c, skeleton.vertices)
-            shelling = order if check_shelling_order(dual, order) else None
-        else:
-            degree = _hole_witness(dual, skeleton.vertices, fields)
-            if degree is not None:
-                table.scm_by_field = dict.fromkeys((str(f) for f in fields), False)
-                table._set("dual_seq_cm", FALSE, "computed",
-                           "chordless cycle %s: the link of its complement has H~_%d != 0"
-                           % ("-".join(map(str, skeleton.vertices)), degree))
-                return close_under_rules(table)
-    if shelling:
-        table._set("dual_shellable", TRUE, "computed")
-    else:
-        try:
-            shelling = find_shelling_order(dual)
-            table._set("dual_shellable", TRUE if shelling else FALSE, "computed")
-        except Undecided as e:
-            table.slots["dual_shellable"].note = "undecided: %s" % e
-
-    derived = shelling and table.ghost_free and gcd_order_from_dual(c, shelling)
-    if derived and check_strong_gcd_order(c, derived):
-        table._set("strong_gcd", TRUE, "computed")
-    else:
-        try:
-            cert = find_strong_gcd_order(c)
-            table._set("strong_gcd", TRUE if cert else FALSE, "computed")
-        except Undecided as e:
-            table.slots["strong_gcd"].note = "undecided: %s" % e
-
-    if dual.is_void:
-        table.slots["dual_seq_cm"].note = "dual is void; settled by inference if at all"
-    elif shelling:
-        # the closure's shelling-implies-seq-cm rule sets the slot
-        table.scm_by_field = dict.fromkeys((str(f) for f in fields), True)
-    else:
-        support_dual = restrict_to_support(dual)
-        reports = cm_reports(is_sequentially_cm, support_dual, fields)
-        table.scm_by_field = verdicts = {str(f): rep.ok for f, rep in reports}
-        vals = set(verdicts.values())
-        if len(vals) == 1:
-            table._set("dual_seq_cm", TRUE if vals.pop() else FALSE, "computed")
-        else:
-            table.slots["dual_seq_cm"].note = "field-dependent: %s" % verdicts
-
     if not table.flag:
         # placeholder; the closure may still upgrade it via an implication rule
         table.slots["golod"].value = OUT_OF_SCOPE
         table.slots["golod"].note = "no algebraic verification performed"
+    dual = alexander_dual(c)
+    slots = table.slots
 
-    return close_under_rules(table)
+    shelling = None
+    try:
+        shelling = find_shelling_order(dual)
+        table._set("dual_shellable", TRUE if shelling else FALSE, "computed")
+    except Undecided as e:
+        slots["dual_shellable"].note = "undecided: %s" % e
+    if shelling and table.ghost_free:
+        if not check_strong_gcd_order(c, gcd_order_from_dual(c, shelling)):
+            raise FactConflict("the dual's shelling, reversed and complemented, "
+                               "is not a strong gcd-order")
+        table._set("strong_gcd", TRUE, "computed")
+    close_under_rules(table)
 
+    if not slots["strong_gcd"].decided:
+        try:
+            table._set("strong_gcd", TRUE if find_strong_gcd_order(c) else FALSE, "computed")
+        except Undecided as e:
+            slots["strong_gcd"].note = "undecided: %s" % e
+        close_under_rules(table)
 
-def _hole_witness(dual: Complex, cycle: tuple, fields: Sequence[Field]) -> Optional[int]:
-    """d = dim L - 1 for the link L, in the dual, of the complement of a
-    chordless cycle C, when H~_d(L) is nonzero over every requested field
-    (and some field is requested); otherwise None.
-
-    L is a link of a face, so a nonzero H~_d(L) with d < dim L shows the dual
-    is not Cohen-Macaulay, whatever C is.  When C is a chordless k-cycle of a
-    flag complex's 1-skeleton, L is the dual of a k-cycle, of dimension
-    k - 3, and by Alexander duality its H~_{k-4} is Z.
-    """
-    tau = dual.universe.full_mask ^ dual.universe.mask(cycle)
-    if not fields or not dual.contains(tau):
-        return None
-    around = link(dual, tau)
-    degree = around.dim - 1
-    if all(reduced_homology(around, f).rank(degree) > 0 for f in dict.fromkeys(fields)):
-        return degree
-    return None
+    seq_cm = slots["dual_seq_cm"]
+    if seq_cm.decided:
+        if not dual.is_void:
+            table.scm_by_field = dict.fromkeys((str(f) for f in fields), seq_cm.value == TRUE)
+        return table
+    reports = cm_reports(is_sequentially_cm, restrict_to_support(dual), fields)
+    table.scm_by_field = verdicts = {str(f): rep.ok for f, rep in reports}
+    vals = set(verdicts.values())
+    if len(vals) == 1:
+        table._set("dual_seq_cm", TRUE if vals.pop() else FALSE, "computed")
+        close_under_rules(table)
+    else:
+        seq_cm.note = "field-dependent: %s" % verdicts
+    return table

@@ -57,13 +57,23 @@ F_i & F_j inside F_k.
   its placed partners are saved, and every later facet's prefix only gains x,
   while each pair {x, l} is already saved.
 
-A shelling search has one exact refutation at its root.  A pure complex of
+A shelling search has two exact refutations at its root.  A pure complex of
 dimension d whose every ridge lies in at least two facets, and whose facets'
 boundary rows are independent over GF(2), has no shelling.  The last facet
 of a shelling would meet its predecessors in its whole boundary, which makes
 it a homology facet (Bjorner-Wachs 1996, Lemma 2.6 and Thm 4.1), so
 H~_d(c; Z) would be nonzero; a primitive integral d-cycle stays nonzero mod
 2, so the rows would be dependent.  The dunce hat is refuted this way.
+
+The other is for the duals of flag complexes.  A complex whose every facet
+misses exactly two vertices is the Alexander dual of the flag complex whose
+graph G has those pairs as its non-edges, and it is shellable exactly when
+G is chordal (Froberg's theorem, in the form of Herzog, Hibi and Zheng,
+"Dirac's theorem on chordal graphs and Alexander duality", European J.
+Combin. 25 (2004)).  A chordless cycle of G refutes a shelling through the
+homology of one link (``find_shelling_order`` has the proof).  G is read
+off the facets' complements, never by dualising the complex, whose dual has
+G's maximal cliques as its facets.
 
 Strong gcd-orders are decided through the dual complex: an order of the
 minimal non-faces is a strong gcd-order exactly when the reversed complement
@@ -85,7 +95,7 @@ from .complexes import (
     _incidence,
     _maximal,
     alexander_dual,
-    is_flag,
+    chordal_certificate,
     minimal_nonfaces,
 )
 from .homology import rank_gf2
@@ -107,7 +117,6 @@ __all__ = [
     "find_weak_shelling_order",
     "find_strong_gcd_order",
     "gcd_order_from_dual",
-    "dual_shelling_from_elimination_order",
     "is_trivially_weakly_shellable",
 ]
 
@@ -483,8 +492,30 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     and a nonzero cycle divided by the gcd of its coefficients has an odd
     one, so it stays a nonzero cycle mod 2: the rows are dependent.  This
     settles the dunce hat and its suspensions without a search.
+
+    A complex whose every facet misses exactly two vertices returns None when
+    the graph G on its universe whose non-edges are those pairs is not
+    chordal.  Such a complex is the dual of the flag complex X of G, since
+    the minimal non-faces of X are the non-edges of G.  Let C be a chordless
+    cycle of G with k >= 4 vertices and tau the other vertices.  C holds a
+    non-edge, so tau is a face, and its link is the complex on C whose
+    facets are the complements in C of the non-edges inside C, the dual on C
+    of the restriction of X to C.  That restriction is the k-cycle, a
+    circle, so the link has dimension k - 3, and by Alexander duality its
+    H~_{k-4} is Z.  A link with homology below its dimension is not
+    Cohen-Macaulay over any field, so neither is the complex, and a pure
+    shellable complex is.  When G is chordal a shelling exists (Herzog, Hibi
+    and Zheng 2004, see the module docstring), and the search runs without
+    the first test, which could not refute it.
     """
-    if _closed_and_acyclic(c):
+    full = c.universe.full_mask
+    if c.facets and all((full ^ F).bit_count() == 2 for F in c.facets):
+        nonedges = {full ^ F for F in c.facets}
+        pairs = (1 << a | 1 << b for b in range(c.universe.n) for a in range(b))
+        graph = Complex(c.universe, _canonical(e for e in pairs if e not in nonedges))
+        if not chordal_certificate(graph).chordal:
+            return None
+    elif _closed_and_acyclic(c):
         return None
     return _search(c, SHELLING, _shelling_moves)
 
@@ -528,33 +559,3 @@ def gcd_order_from_dual(c: Complex, order: OrderCertificate) -> OrderCertificate
     """
     full = c.universe.full_mask
     return OrderCertificate(STRONG_GCD, c, tuple(full ^ f for f in reversed(order.sequence)))
-
-
-def dual_shelling_from_elimination_order(c: Complex, peo: Sequence) -> OrderCertificate:
-    """A shelling order of the dual of a flag complex, read off a perfect
-    elimination order of its 1-skeleton (vertex labels, as
-    ``complexes.chordal_certificate`` gives them).
-
-    The minimal non-faces of a flag complex are the non-edges of its
-    1-skeleton, and the dual's facets are their complements.  The non-edges
-    are sorted by the position of their earlier vertex, then of their later
-    one, and each is complemented.  When ``peo`` is a perfect elimination
-    order this is a shelling.  The dual is pure, so the condition is that
-    for non-edges e_i before e_j some e_k before e_j lies in the union of
-    the two and meets e_j in one vertex.  If e_i meets e_j, e_i is that
-    e_k.  Otherwise write e_i = {a', b'} and e_j = {a, b} with a' before b'
-    and a before b; a' comes before a, since the two are disjoint.  The
-    neighbours of a' after it are pairwise adjacent and a, b are not, so
-    {a', a} or {a', b} is a non-edge; it comes before e_j and meets it in
-    one vertex.  Any other vertex order gives a permutation of the facets
-    that ``check_shelling_order`` may reject.
-    """
-    u = c.universe
-    bits = [u.mask([v]) for v in peo]
-    if sorted(bits) != [1 << i for i in range(u.n)]:
-        raise InputError("order is not a permutation of the vertices")
-    if not is_flag(c):
-        raise InputError("the complex is not flag: some minimal non-face is not an edge")
-    pos = {b.bit_length() - 1: i for i, b in enumerate(bits)}
-    nonedges = sorted(minimal_nonfaces(c), key=lambda e: sorted(pos[v] for v in _bit_indices(e)))
-    return OrderCertificate(SHELLING, alexander_dual(c), tuple(u.full_mask ^ e for e in nonedges))

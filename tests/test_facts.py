@@ -260,12 +260,13 @@ class TestShellingCertificate:
         shelling = sc.find_shelling_order(sc.alexander_dual(c))
         assert order.sequence == sc.gcd_order_from_dual(c, shelling).sequence
 
-    def test_rejected_order_falls_back_to_one_search(self, monkeypatch):
+    def test_rejected_order_is_a_conflict(self, monkeypatch):
+        # the theorem makes every such order a strong gcd-order, so a rejection is a bug
         monkeypatch.setattr(facts, "check_strong_gcd_order", lambda c, order: sc.CheckReport(False))
         searched = counting(monkeypatch, "find_strong_gcd_order")
-        t = build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())
-        assert (t.slots["strong_gcd"].value, t.slots["strong_gcd"].provenance) == (TRUE, "computed")
-        assert len(searched) == 1
+        with pytest.raises(FactConflict):
+            build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())
+        assert searched == []
 
     def test_same_table_as_searching_every_slot(self, small_complexes):
         shelled = 0
@@ -297,39 +298,21 @@ class TestIndependentFlagLegs:
 
 
 class TestFlagTablesFromTheSkeleton:
-    """A flag table is read off the 1-skeleton: a perfect elimination order
-    shells the dual, a chordless cycle refutes its Cohen-Macaulayness."""
+    """A flag table is all T exactly when the 1-skeleton is chordal; the dual
+    of a flag complex with a chordless cycle is refuted with no search."""
 
     def test_reproducer_runs_no_search_and_no_sweep(self, monkeypatch):
         # its dual has 27 facets, and the shelling search gives up on them
-        calls = [counting(monkeypatch, name)
-                 for name in ("find_shelling_order", "find_strong_gcd_order", "cm_reports")]
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr("shellcert.orders._search", no_search)
+        calls = [counting(monkeypatch, name) for name in ("find_strong_gcd_order", "cm_reports")]
         t = build_fact_table(sc.random_flag_complex(3, 9, 0.35))
         assert t.values() == (FALSE, FALSE, FALSE, FALSE)
         assert t.scm_by_field == {"GF(2)": False, "Q": False}
-        assert t.slots["dual_seq_cm"].provenance == "computed"
-        assert t.slots["dual_seq_cm"].note.startswith("chordless cycle ")
-        assert calls == [[], [], []]
-
-    def test_rejected_elimination_shelling_falls_back_to_one_search(self, monkeypatch):
-        path = sc.from_facets(sc.VertexSet.of(range(1, 5)), [{1, 2}, {2, 3}, {3, 4}])
-        assert sc.chordal_certificate(path).chordal
-        searched = counting(monkeypatch, "find_shelling_order")
-        assert build_fact_table(path).values() == (TRUE, TRUE, TRUE, TRUE)
-        assert searched == []
-        monkeypatch.setattr(facts, "check_shelling_order", lambda c, order: sc.CheckReport(False))
-        t = build_fact_table(path)
-        assert t.values() == (TRUE, TRUE, TRUE, TRUE)
-        assert (t.slots["dual_shellable"].provenance, len(searched)) == ("computed", 1)
-
-    def test_zero_link_homology_falls_back_to_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(facts, "reduced_homology", lambda c, field: sc.HomologyProfile(field, ()))
-        swept = counting(monkeypatch, "cm_reports")
-        t = build_fact_table(catalog.FIXTURES["pentagon"]())
-        assert t.values() == (FALSE, FALSE, FALSE, FALSE)
-        assert t.scm_by_field == {"GF(2)": False, "Q": False}
-        assert (t.slots["dual_seq_cm"].provenance, t.slots["dual_seq_cm"].note) == ("computed", "")
-        assert len(swept) == 1
+        assert t.slots["dual_shellable"].provenance == "computed"
+        assert calls == [[], []]
 
     def test_every_graph_on_five_vertices(self):
         # the clique complex's table is all T exactly when the graph has no hole

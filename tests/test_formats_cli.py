@@ -69,9 +69,9 @@ TABLE_GOLDEN = {
         "Golod:          T            (inferred:gcd-implies-golod)",
     ],
     "pentagon": [
-        "dual shellable: F            (inferred:shelling-implies-seq-cm)",
+        "dual shellable: F            (computed)",
         "strong gcd:     F            (inferred:flag-equivalence)",
-        "dual seq. CM:   F            (computed) [chordless cycle 0-2-4-1-3: the link of its complement has H~_1 != 0]",
+        "dual seq. CM:   F            (inferred:flag-equivalence)",
         "Golod:          F            (inferred:flag-equivalence)",
     ],
     "projective-plane": [
@@ -244,6 +244,17 @@ class TestCli:
         code, out, _ = self.run(["find", "weak", "--fixture", "dunce-hat"], capsys)
         assert code == 0 and "found" in out
 
+    def test_find_shelling_of_a_flag_dual_with_a_hole_needs_no_search(self, capsys, monkeypatch, tmp_path):
+        # the 1-skeleton of this flag complex has a chordless cycle; the search
+        # alone ran out of its budget on the dual's 27 facets
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        path = tmp_path / "dual.json"
+        path.write_text(to_json_document(sc.alexander_dual(sc.random_flag_complex(3, 9, 0.35))))
+        monkeypatch.setattr("shellcert.orders._search", no_search)
+        assert self.run(["find", "shelling", str(path)], capsys) == (EX_FAIL, "none exists\n", "")
+
     def test_find_undecided_exit_code(self, capsys, monkeypatch):
         # 6 facets in the dual, every full-union pair has a possible saver, and
         # the budget is too small to decide weak shellability of the dual
@@ -330,6 +341,13 @@ class TestCli:
             assert code == EX_OK, name
             assert out.splitlines() == expected, name
         assert set(TABLE_GOLDEN) == set(catalog.FIXTURES)
+
+    def test_table_rejected_gcd_order_is_an_internal_error(self, capsys, monkeypatch):
+        # the dual's shelling always maps to a strong gcd-order, so a rejection is a bug
+        monkeypatch.setattr("shellcert.facts.check_strong_gcd_order", lambda c, order: sc.CheckReport(False))
+        code, out, err = self.run(["table", "--fixture", "gcd-violator-dual"], capsys)
+        assert (code, out) == (EX_INTERNAL, "")
+        assert "FactConflict" in err
 
     def test_table_undecided_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr("shellcert.orders.NODE_BUDGET", 10)

@@ -9,7 +9,7 @@ from shellcert.complexes import VertexSet
 from shellcert.orders import _weak_moves
 
 from conftest import seeded_complexes, seeded_flag_complexes
-from oracles import brute_shelling_failure
+from oracles import brute_chordless_cycle, brute_shelling_failure, skeleton_edges
 
 
 def cx(n, facets):
@@ -714,33 +714,47 @@ class TestWeakFlagSharpening:
                     assert sc.check_shelling_order(dual, p).ok
 
 
-class TestDualShellingFromEliminationOrder:
-    def test_chordal_flags_get_a_shelling_of_the_dual(self):
-        shelled = 0
-        for c in seeded_flag_complexes(300, seed=1984, n_range=(4, 8)):
-            cert = sc.chordal_certificate(c)
-            if not cert.chordal:
-                continue
-            order = sc.dual_shelling_from_elimination_order(c, cert.vertices)
+class TestFlagDualRefutation:
+    """The dual of a flag complex has a shelling exactly when the complex's
+    1-skeleton has no chordless cycle of four or more vertices."""
+
+    @staticmethod
+    def flag_duals():
+        """(dual, has a hole) for the non-void duals of seeded flag complexes."""
+        for c in seeded_flag_complexes(300, seed=2108, n_range=(4, 9)):
             dual = sc.alexander_dual(c)
-            assert order.kind == sc.SHELLING and order.complex == dual
-            # the non-edges, by the positions of their earlier then later vertex
-            pos = {v: i for i, v in enumerate(cert.vertices)}
-            keys = [sorted(pos[v] for v in set(c.universe.labels) - set(F)) for F in order.members()]
-            assert keys == sorted(keys)
-            assert oracle_report(dual, order.sequence) == sc.CheckReport(True)
-            shelled += 1
-        assert shelled >= 80
+            if not dual.is_void:
+                hole = brute_chordless_cycle(c.universe.labels, skeleton_edges(c.facet_members()))
+                yield dual, hole is not None
 
-    def test_other_vertex_orders_may_fail(self):
-        path = cx(4, [{1, 2}, {2, 3}, {3, 4}])
-        dual = sc.alexander_dual(path)
-        for order, ok in (((4, 3, 2, 1), True), ((2, 1, 3, 4), False)):
-            got = sc.dual_shelling_from_elimination_order(path, order)
-            assert sc.check_shelling_order(dual, got).ok is ok
+    def test_none_exactly_when_the_skeleton_has_a_hole(self):
+        holes = 0
+        for dual, holed in self.flag_duals():
+            assert (sc.find_shelling_order(dual) is None) == holed, dual.facet_members()
+            holes += holed
+        assert holes >= 100
 
-    def test_input_errors(self):
-        with pytest.raises(sc.InputError):  # not flag: the hollow triangle
-            sc.dual_shelling_from_elimination_order(cx(3, [{1, 2}, {2, 3}, {1, 3}]), (1, 2, 3))
-        with pytest.raises(sc.InputError):  # not a permutation
-            sc.dual_shelling_from_elimination_order(cx(3, [{1, 2}, {2, 3}]), (1, 2, 2))
+    def test_a_hole_is_refuted_without_a_search(self, monkeypatch):
+        from shellcert import orders
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        holed = [dual for dual, holed in self.flag_duals() if holed]
+        monkeypatch.setattr(orders, "_search", no_search)
+        assert len(holed) >= 100
+        assert all(sc.find_shelling_order(dual) is None for dual in holed)
+
+    def test_same_answer_as_the_search_wherever_it_decides(self, monkeypatch):
+        from shellcert import orders
+
+        monkeypatch.setattr(orders, "NODE_BUDGET", 2_000)  # keeps the undecided searches short
+        decided = 0
+        for dual, _ in self.flag_duals():
+            try:
+                searched = orders._search(dual, sc.SHELLING, orders._shelling_moves)
+            except sc.Undecided:
+                continue
+            assert sc.find_shelling_order(dual) == searched
+            decided += 1
+        assert decided >= 200

@@ -1,8 +1,8 @@
 """Package-wide properties: no state outlives a call, no environment variable
-changes behaviour, no function calls itself, the layers above duality and
-search use only the public API, the README names every fixture and shows
-true values in its Library block, and the benchmark's own corruption checks
-still run."""
+changes behaviour, no function calls itself, no module imports a name it
+never reads, the layers above duality and search use only the public API,
+the README names every fixture and shows true values in its Library block,
+and the benchmark's own corruption checks still run."""
 
 import ast
 import importlib
@@ -74,6 +74,24 @@ def test_upper_layers_use_only_public_names():
                     and node.value.id in siblings and node.attr.startswith("_")):
                 private.append("%s: %s.%s" % (module, node.value.id, node.attr))
     assert private == []
+
+
+def test_no_unused_import():
+    # an import that nothing reads is dead weight and hides the real dependencies
+    unused = []
+    for path in sorted((ROOT / "src" / "shellcert").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append("%s: %s" % (path.name, name))
+    assert unused == []
 
 
 def test_every_export_resolves():
