@@ -7,7 +7,8 @@ a bundled catalog complex; exactly one of them.
 Exit codes: 0 the property holds / verification passed, 1 the property fails
 or a counterexample was found, 2 input error, 3 undecided (an order search
 ran out of its budget of ``orders.NODE_BUDGET`` states), 4 internal error (a
-bug, never an answer).
+bug, never an answer).  ``find`` checks the order it found with the paired
+``check_*`` before printing it, and a rejected order is an internal error.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ EX_INPUT = 2
 EX_UNDECIDED = 3
 EX_INTERNAL = 4
 
-_FIELD_HELP = "gf2, gf<p> for a prime p < 2**31, or q (repeatable)"
+_FIELD_HELP = "gf2, gf<p> or GF(p) for a prime p < 2**31, or q (repeatable)"
 
 
 def _conditions() -> dict:
@@ -131,11 +132,17 @@ def cmd_check(args) -> int:
 
 def cmd_find(args) -> int:
     c = _load(args)
-    kind, _, find = _conditions()[args.condition]
+    kind, check, find = _conditions()[args.condition]
     cert = find(c)
     if cert is None:
         print("none exists")
         return EX_FAIL
+    try:
+        valid = check(c, cert).ok
+    except InputError:  # not even a permutation: the finder's fault, not the input's
+        valid = False
+    if not valid:
+        raise RuntimeError("the %s order found fails its check" % kind)
     print("found %s order:" % kind)
     for m in cert.sequence:
         print("  " + _fmt_face(c, m))

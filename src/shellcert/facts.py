@@ -14,21 +14,28 @@ here.  Instead the known one-way implications act as inference rules,
     dual shellable  =>  strong gcd      dual shellable  =>  dual seq. CM
     strong gcd      =>  Golod           dual seq. CM    =>  Golod
 
-and for flag complexes all four conditions are equivalent, so any decided
-slot settles the rest.  The rules are closed before each computed slot, so
-the strong gcd search and the dual's link sweep run only for a slot the
-closure leaves undecided.  The shelling search refutes the dual of a flag
-complex whose 1-skeleton has a chordless cycle without searching
-(``orders.find_shelling_order`` has the proof).  Inferred values never
-overwrite computed ones; a contradiction between the two raises, it is a
-correctness failure.
+and, on flag complexes only, the paper's theorem that all four conditions
+are equivalent closes the cycle back to the first slot,
 
-All rules except "dual shellable => dual seq. CM" assume the complex has no
-ghost vertices (a ghost vertex is a singleton minimal non-face, which gives
-the dual a facet missing a single vertex and breaks the shelling-to-gcd
+    strong gcd  =>  dual shellable      dual seq. CM  =>  dual shellable
+    Golod       =>  dual shellable      (each named flag-equivalence)
+
+so any decided slot of a flag complex settles the rest.  Each rule also
+fires as its contrapositive.  The rules are closed before each computed
+slot, so the strong gcd search and the dual's link sweep run only for a slot
+the closure leaves undecided.  The dual of a flag complex is never searched:
+``orders.find_shelling_order`` answers it from its graph, a chordless cycle
+refuting a shelling and a perfect elimination order giving one.  Inferred
+values never overwrite computed ones; a contradiction between the two
+raises, it is a correctness failure.
+
+The other three rules of the first diagram assume the complex has no ghost
+vertices (a ghost vertex is a singleton minimal non-face, which gives the
+dual a facet missing a single vertex and breaks the shelling-to-gcd
 argument; a path of two edges has a shellable dual picture but no strong
-gcd-order).  For a ghosted complex only the unconditional rule fires, and the
-strong gcd slot is searched even when the dual is shellable.
+gcd-order).  A flag complex has none.  For a ghosted complex only "dual
+shellable => dual seq. CM" fires, and the strong gcd slot is searched even
+when the dual is shellable.
 """
 
 from __future__ import annotations
@@ -66,13 +73,16 @@ OUT_OF_SCOPE = "out-of-scope"
 
 SLOTS = ("dual_shellable", "strong_gcd", "dual_seq_cm", "golod")
 
-# (premise slot, conclusion slot, rule name, needs ghost-free complex);
+# (premise slot, conclusion slot, rule name, the FactTable field it needs or None);
 # premise T forces conclusion T, conclusion F forces premise F.
 RULES = (
-    ("dual_shellable", "strong_gcd", "dual-shelling-implies-gcd", True),
-    ("dual_shellable", "dual_seq_cm", "shelling-implies-seq-cm", False),
-    ("strong_gcd", "golod", "gcd-implies-golod", True),
-    ("dual_seq_cm", "golod", "seq-cm-implies-golod", True),
+    ("dual_shellable", "strong_gcd", "dual-shelling-implies-gcd", "ghost_free"),
+    ("dual_shellable", "dual_seq_cm", "shelling-implies-seq-cm", None),
+    ("strong_gcd", "golod", "gcd-implies-golod", "ghost_free"),
+    ("dual_seq_cm", "golod", "seq-cm-implies-golod", "ghost_free"),
+    ("strong_gcd", "dual_shellable", "flag-equivalence", "flag"),
+    ("dual_seq_cm", "dual_shellable", "flag-equivalence", "flag"),
+    ("golod", "dual_shellable", "flag-equivalence", "flag"),
 )
 
 
@@ -144,24 +154,13 @@ def close_under_rules(table: FactTable):
     changed = True
     while changed:
         changed = False
-        for premise, conclusion, rule, needs_ghost_free in RULES:
-            if needs_ghost_free and not table.ghost_free:
+        for premise, conclusion, rule, needs in RULES:
+            if needs and not getattr(table, needs):
                 continue
             if table.slots[premise].value == TRUE:
                 changed |= table._set(conclusion, TRUE, "inferred:" + rule)
             if table.slots[conclusion].value == FALSE:
                 changed |= table._set(premise, FALSE, "inferred:" + rule)
-        if table.flag:
-            decided = {table.slots[n].value for n in SLOTS if table.slots[n].decided}
-            if len(decided) > 1:
-                raise FactConflict(
-                    "flag complex with unequal decided slots: %s"
-                    % {n: table.slots[n].value for n in SLOTS}
-                )
-            if decided:
-                v = decided.pop()
-                for n in SLOTS:
-                    changed |= table._set(n, v, "inferred:flag-equivalence")
     return table
 
 

@@ -147,11 +147,16 @@ class Field:
 
     @classmethod
     def parse(cls, text: str) -> "Field":
+        """A field from its name: gf<p> or gf(p), so ``str`` round-trips, or q;
+        case is ignored."""
         t = text.strip().lower()
         if t in ("q", "qq", "rational", "rationals"):
             return cls(None)
+        digits = t[2:]
+        if digits[:1] == "(" and digits[-1:] == ")":
+            digits = digits[1:-1]
         try:
-            p = int(t[2:]) if t.startswith("gf") else None
+            p = int(digits) if t.startswith("gf") else None
         except ValueError:
             p = None
         if p is None:

@@ -57,23 +57,31 @@ F_i & F_j inside F_k.
   its placed partners are saved, and every later facet's prefix only gains x,
   while each pair {x, l} is already saved.
 
-A shelling search has two exact refutations at its root.  A pure complex of
-dimension d whose every ridge lies in at least two facets, and whose facets'
-boundary rows are independent over GF(2), has no shelling.  The last facet
-of a shelling would meet its predecessors in its whole boundary, which makes
-it a homology facet (Bjorner-Wachs 1996, Lemma 2.6 and Thm 4.1), so
-H~_d(c; Z) would be nonzero; a primitive integral d-cycle stays nonzero mod
-2, so the rows would be dependent.  The dunce hat is refuted this way.
+Two kinds of complex are settled before any shelling search.  A pure
+complex of dimension d whose every ridge lies in at least two facets, and
+whose facets' boundary rows are independent over GF(2), has no shelling.
+The last facet of a shelling would meet its predecessors in its whole
+boundary, which makes it a homology facet (Bjorner-Wachs 1996, Lemma 2.6
+and Thm 4.1), so H~_d(c; Z) would be nonzero; a primitive integral d-cycle
+stays nonzero mod 2, so the rows would be dependent.  The dunce hat is
+refuted this way.
 
-The other is for the duals of flag complexes.  A complex whose every facet
-misses exactly two vertices is the Alexander dual of the flag complex whose
-graph G has those pairs as its non-edges, and it is shellable exactly when
-G is chordal (Froberg's theorem, in the form of Herzog, Hibi and Zheng,
-"Dirac's theorem on chordal graphs and Alexander duality", European J.
+The duals of flag complexes are decided without a search.  A complex whose
+every facet misses exactly two vertices is the Alexander dual of the flag
+complex whose graph G has those pairs as its non-edges, and it is shellable
+exactly when G is chordal (Froberg's theorem, in the form of Herzog, Hibi and
+Zheng, "Dirac's theorem on chordal graphs and Alexander duality", European J.
 Combin. 25 (2004)).  A chordless cycle of G refutes a shelling through the
-homology of one link (``find_shelling_order`` has the proof).  G is read
-off the facets' complements, never by dualising the complex, whose dual has
-G's maximal cliques as its facets.
+homology of one link.  A perfect elimination order of G gives one: sort the
+non-edges by the position of their earlier vertex, then of their later one,
+and complement each.  For non-edges e before f, the complement of f needs
+an earlier non-edge inside e | f that meets f in one vertex.  That is e
+when e meets f; otherwise the earlier vertex of e comes before both
+vertices of f, its later neighbours are pairwise adjacent and f is not an
+edge, so it forms a non-edge with one of them, which comes before f
+(``find_shelling_order`` has both proofs in full).  G is read off the
+facets' complements, never by dualising the complex, whose dual has G's
+maximal cliques as its facets.
 
 Strong gcd-orders are decided through the dual complex: an order of the
 minimal non-faces is a strong gcd-order exactly when the reversed complement
@@ -493,28 +501,43 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     one, so it stays a nonzero cycle mod 2: the rows are dependent.  This
     settles the dunce hat and its suspensions without a search.
 
-    A complex whose every facet misses exactly two vertices returns None when
-    the graph G on its universe whose non-edges are those pairs is not
-    chordal.  Such a complex is the dual of the flag complex X of G, since
-    the minimal non-faces of X are the non-edges of G.  Let C be a chordless
-    cycle of G with k >= 4 vertices and tau the other vertices.  C holds a
-    non-edge, so tau is a face, and its link is the complex on C whose
-    facets are the complements in C of the non-edges inside C, the dual on C
-    of the restriction of X to C.  That restriction is the k-cycle, a
-    circle, so the link has dimension k - 3, and by Alexander duality its
-    H~_{k-4} is Z.  A link with homology below its dimension is not
-    Cohen-Macaulay over any field, so neither is the complex, and a pure
-    shellable complex is.  When G is chordal a shelling exists (Herzog, Hibi
-    and Zheng 2004, see the module docstring), and the search runs without
-    the first test, which could not refute it.
+    A complex whose every facet misses exactly two vertices is answered from
+    the graph G on its universe whose non-edges are those pairs, with no
+    search.  Such a complex is the dual of the flag complex X of G, since the
+    minimal non-faces of X are the non-edges of G.
+
+    When G is not chordal it returns None.  Let C be a chordless cycle of G
+    with k >= 4 vertices and tau the other vertices.  C holds a non-edge, so
+    tau is a face, and its link is the complex on C whose facets are the
+    complements in C of the non-edges inside C, the dual on C of the
+    restriction of X to C.  That restriction is the k-cycle, a circle, so
+    the link has dimension k - 3, and by Alexander duality its H~_{k-4} is
+    Z.  A link with homology below its dimension is not Cohen-Macaulay over
+    any field, so neither is the complex, and a pure shellable complex is.
+
+    When G is chordal, ``complexes.chordal_certificate`` gives a perfect
+    elimination order of it.  The non-edges are sorted by the position of
+    their earlier vertex in that order, then of their later one, and each is
+    complemented; this is a shelling.  The complex is pure, so the condition
+    is that for non-edges e_i before e_j some e_k before e_j lies in the
+    union of the two and meets e_j in one vertex.  If e_i meets e_j, e_i is
+    that e_k.  Otherwise write e_i = {a', b'} and e_j = {a, b} with a'
+    before b' and a before b; a' comes before a, since the two are disjoint.
+    The neighbours of a' after it are pairwise adjacent and a, b are not, so
+    {a', a} or {a', b} is a non-edge; it comes before e_j and meets it in
+    one vertex.
     """
     full = c.universe.full_mask
     if c.facets and all((full ^ F).bit_count() == 2 for F in c.facets):
         nonedges = {full ^ F for F in c.facets}
         pairs = (1 << a | 1 << b for b in range(c.universe.n) for a in range(b))
         graph = Complex(c.universe, _canonical(e for e in pairs if e not in nonedges))
-        if not chordal_certificate(graph).chordal:
+        cert = chordal_certificate(graph)
+        if not cert.chordal:
             return None
+        pos = {c.universe.mask([v]): i for i, v in enumerate(cert.vertices)}
+        nonedges = sorted(nonedges, key=lambda e: sorted((pos[e & -e], pos[e & e - 1])))
+        return OrderCertificate(SHELLING, c, tuple(full ^ e for e in nonedges))
     elif _closed_and_acyclic(c):
         return None
     return _search(c, SHELLING, _shelling_moves)

@@ -46,6 +46,12 @@ class TestConstruction:
         with pytest.raises(sc.InputError):
             cx(3, [{1, 9}])
 
+    def test_mask_outside_the_universe_rejected(self):
+        u = VertexSet.of([1, 2])
+        assert u.as_mask(3) == 3
+        with pytest.raises(sc.InputError, match="outside universe of size 2"):
+            u.as_mask(8)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(sc.InputError):
             VertexSet.of([1, 1, 2])
@@ -240,6 +246,10 @@ class TestPureSkeleton:
         c = cx(4, [{1, 2}, {3}])
         sk = sc.pure_skeleton(c, 0)
         assert sk.facet_members() == [(1,), (2,), (3,)]
+
+    def test_empty_skeleton(self):
+        c = cx(4, [{1, 2}, {3}])
+        assert sc.pure_skeleton(c, -1).facets == (0,)
 
     def test_out_of_range(self):
         c = cx(3, [{1, 2}])

@@ -27,6 +27,25 @@ MALFORMED_JSON = [
 ]
 
 
+# (arguments, a document whose path is appended, or None; the input error's message)
+INPUT_ERRORS = [
+    pytest.param(["homology", "--fixture", "pentagon", "--field", "gfx"], None,
+                 "unrecognized field 'gfx' (expected gf<p> or q)", id="field-gfx"),
+    pytest.param(["homology", "--fixture", "pentagon", "--field", "gf()"], None,
+                 "unrecognized field 'gf()' (expected gf<p> or q)", id="field-gf()"),
+    pytest.param(["homology", "--fixture", "pentagon", "--field", "gf1"], None,
+                 "characteristic must be prime, got 1", id="field-gf1"),
+    pytest.param(["homology", "--fixture", "pentagon", "--field", "gf(4)"], None,
+                 "characteristic must be prime, got 4", id="field-gf(4)"),
+    pytest.param(["check", "shelling", "--fixture", "pentagon", "--order", "0,1,x"], None,
+                 "--order must be comma-separated integer positions", id="order-not-integers"),
+    pytest.param(["dual"], '{"vertices": [1,2], "nonfaces": [[1,2],[1,2]]}',
+                 "duplicate non-faces", id="nonfaces-duplicate"),
+    pytest.param(["dual"], '{"vertices": [1,2], "nonfaces": [[]]}',
+                 "the empty set cannot be a minimal non-face", id="nonfaces-empty-set"),
+]
+
+
 # `shellcert table --fixture NAME`, line by line
 TABLE_GOLDEN = {
     "strong-gcd-witness": [
@@ -255,6 +274,36 @@ class TestCli:
         monkeypatch.setattr("shellcert.orders._search", no_search)
         assert self.run(["find", "shelling", str(path)], capsys) == (EX_FAIL, "none exists\n", "")
 
+    def test_find_shelling_of_a_chordal_flag_dual_needs_no_search(self, capsys, monkeypatch, tmp_path):
+        # the 1-skeleton of this flag complex is chordal; its perfect
+        # elimination order gives the dual's shelling
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        dual = sc.alexander_dual(sc.random_flag_complex(28, 9, 0.5))
+        path = tmp_path / "dual.json"
+        path.write_text(to_json_document(dual))
+        monkeypatch.setattr("shellcert.orders._search", no_search)
+        code, out, err = self.run(["find", "shelling", str(path)], capsys)
+        assert (code, out.splitlines()[0], err) == (EX_OK, "found shelling order:", "")
+        printed = ["  {%s}" % ",".join(map(str, f)) for f in dual.facet_members()]
+        order = ",".join(str(printed.index(ln)) for ln in out.splitlines()[1:])
+        assert len(dual.facets) == 13 and order != ",".join(map(str, range(13)))
+        code, out, _ = self.run(["check", "shelling", str(path), "--order", order], capsys)
+        assert (code, out) == (EX_OK, "valid shelling order\n")
+
+    def test_find_rejected_certificate_is_an_internal_error(self, capsys, monkeypatch, tmp_path):
+        # two disjoint edges have no shelling, in either order; a single facet
+        # is not an order of both
+        path = tmp_path / "edges.json"
+        path.write_text('{"vertices":[1,2,3,4], "facets":[[1,2],[3,4]]}')
+        for wrong in (lambda c: c.facets, lambda c: c.facets[:1]):
+            monkeypatch.setattr("shellcert.cli.find_shelling_order",
+                                lambda c: sc.OrderCertificate(sc.SHELLING, c, wrong(c)))
+            code, out, err = self.run(["find", "shelling", str(path)], capsys)
+            assert (code, out) == (EX_INTERNAL, "")
+            assert "internal error" in err and "fails its check" in err
+
     def test_find_undecided_exit_code(self, capsys, monkeypatch):
         # 6 facets in the dual, every full-union pair has a possible saver, and
         # the budget is too small to decide weak shellability of the dual
@@ -302,6 +351,18 @@ class TestCli:
         code, _, err = self.run(
             ["homology", "--fixture", "pentagon", "--field", "gf9"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv, doc, message", INPUT_ERRORS)
+    def test_input_error_message(self, argv, doc, message, capsys, tmp_path):
+        if doc is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(doc)
+            argv = argv + [str(path)]
+        assert self.run(argv, capsys) == (EX_INPUT, "", "input error: %s\n" % message)
+
+    def test_field_names_as_printed(self, capsys):
+        code, out, _ = self.run(["cm", "--fixture", "pentagon", "--field", "GF(2)"], capsys)
+        assert (code, out) == (EX_OK, "GF(2): yes\n")
 
     def test_homology_huge_field(self, capsys):
         code, _, err = self.run(

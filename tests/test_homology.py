@@ -30,6 +30,14 @@ class TestFieldSpec:
         assert sc.Field.parse("GF5").p == 5
         assert sc.Field.parse("q") == sc.QQ
 
+    def test_parse_reads_what_str_prints(self):
+        for f in (sc.GF2, sc.Field.gf(3), sc.Field.gf(2**31 - 1), sc.QQ):
+            assert sc.Field.parse(str(f)) == f
+        assert sc.Field.parse("gf(3)") == sc.Field.parse("gf3")
+        for text in ("gf(4)", "gf()", "gf(3", "gfx"):
+            with pytest.raises(sc.InputError):
+                sc.Field.parse(text)
+
     def test_nonprime_rejected(self):
         with pytest.raises(sc.InputError):
             sc.Field.gf(6)
@@ -103,6 +111,11 @@ class TestReducedHomology:
         for f in (sc.GF2, sc.QQ):
             prof = sc.reduced_homology(k, f)
             assert prof.rank(0) == 0 and prof.rank(1) == 1
+
+    def test_unlisted_degree_has_rank_zero(self):
+        prof = sc.reduced_homology(pentagon_circle(), sc.GF2)
+        assert [d for d, _ in prof.ranks] == [-1, 0, 1]
+        assert prof.rank(-2) == prof.rank(2) == 0
 
     def test_full_simplex_acyclic(self):
         c = cx(4, [{1, 2, 3, 4}])

@@ -525,6 +525,22 @@ def suspension(c):
     return sc.from_facets(VertexSet.of(range(n + 2)), facets)
 
 
+def misses_two(c):
+    """True when every facet of c misses exactly two vertices: c is the dual
+    of a flag complex, which ``find_shelling_order`` answers from its graph."""
+    full = c.universe.full_mask
+    return bool(c.facets) and all((full ^ F).bit_count() == 2 for F in c.facets)
+
+
+def assert_same_existence(c, searched):
+    """``find_shelling_order`` finds a shelling of c exactly when the search
+    result ``searched`` is one, and its certificate validates."""
+    cert = sc.find_shelling_order(c)
+    assert (cert is None) == (searched is None), c.facet_members()
+    if cert is not None:
+        assert sc.check_shelling_order(c, cert)
+
+
 class TestTopCycleRefutation:
     """A pure complex with no free ridge and no top GF(2) cycle has no
     shelling; ``find_shelling_order`` says so before any search."""
@@ -564,8 +580,11 @@ class TestTopCycleRefutation:
         sample = seeded_complexes(400, seed=1996, n_range=(4, 9),
                                   accept=lambda c: c.is_pure and len(c.facets) >= 2)
         for c in fixed + sample:
-            assert sc.find_shelling_order(c) == orders._search(
-                c, orders.SHELLING, orders._shelling_moves)
+            searched = orders._search(c, orders.SHELLING, orders._shelling_moves)
+            if misses_two(c):  # a flag dual: its shelling comes from the graph, not the search
+                assert_same_existence(c, searched)
+            else:
+                assert sc.find_shelling_order(c) == searched
 
 
 class TestShellingMasks:
@@ -745,6 +764,52 @@ class TestFlagDualRefutation:
         assert len(holed) >= 100
         assert all(sc.find_shelling_order(dual) is None for dual in holed)
 
+    @staticmethod
+    def chordal_duals(count, seed, n_range=(8, 36)):
+        """The non-void duals of the flag complexes of random chordal graphs.
+
+        Each new vertex is joined to most of one of the last two cliques
+        made, a clique being a vertex with its earlier neighbours, so each
+        vertex's earlier neighbours are pairwise adjacent and the graph is
+        chordal.  Labels are shuffled, and the dual is read off the
+        non-edges: its facets are their complements."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            n = rng.randint(*n_range)
+            label = rng.sample(range(n), n)
+            cliques = [()]
+            edges = set()
+            for v in range(n):
+                near = [u for u in rng.choice(cliques[-2:]) if rng.random() < 0.95]
+                edges.update(frozenset((label[u], label[v])) for u in near)
+                cliques.append(tuple(near) + (v,))
+            facets = [set(range(n)) - e for e in map(frozenset, combinations(range(n), 2))
+                      if e not in edges]
+            if facets:
+                out.append(sc.from_facets(VertexSet.of(range(n)), facets))
+        return out
+
+    def test_every_flag_dual_is_answered_without_a_search(self, monkeypatch):
+        from shellcert import orders
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        flag = list(self.flag_duals())
+        chordal = self.chordal_duals(100, seed=1979)
+        monkeypatch.setattr(orders, "_search", no_search)
+        shelled = 0
+        for dual, holed in flag + [(d, False) for d in chordal]:
+            cert = sc.find_shelling_order(dual)
+            assert (cert is None) == holed, dual.facet_members()
+            if cert is not None:
+                assert sc.check_shelling_order(dual, cert)
+                shelled += 1
+        assert len(flag) >= 250 and shelled >= 200
+        assert max(d.universe.n for d in chordal) >= 30
+        assert max(len(d.facets) for d in chordal) >= 200
+
     def test_same_answer_as_the_search_wherever_it_decides(self, monkeypatch):
         from shellcert import orders
 
@@ -755,6 +820,6 @@ class TestFlagDualRefutation:
                 searched = orders._search(dual, sc.SHELLING, orders._shelling_moves)
             except sc.Undecided:
                 continue
-            assert sc.find_shelling_order(dual) == searched
+            assert_same_existence(dual, searched)
             decided += 1
         assert decided >= 200
