@@ -107,11 +107,27 @@ def _canonical(masks: Iterable[int]) -> tuple:
 
 
 def _maximal(masks: Iterable[int]) -> list:
-    """Inclusion-maximal members of a family of bitmasks."""
-    ms = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
+    """Inclusion-maximal members of a family of bitmasks, largest size first.
+
+    A mask can lie only inside a strictly larger one, so the distinct masks
+    are taken by decreasing size and each is compared only with the kept
+    masks of the larger sizes.  After the sort that is at most (masks of size
+    k) x (kept masks larger than k) tests summed over k, and none at all for
+    a family of one size, such as the facets of a pure complex.
+    """
+    ms = sorted(set(masks), key=int.bit_count, reverse=True)
+    if not ms or ms[0].bit_count() == ms[-1].bit_count():
+        return ms
     out: list[int] = []
+    larger: tuple = ()
+    size = -1
     for m in ms:
-        if not any(m & o == m for o in out):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), tuple(out)
+        for o in larger:
+            if m & o == m:
+                break
+        else:
             out.append(m)
     return out
 
@@ -179,7 +195,12 @@ class Complex:
 
 
 def from_facets(universe: VertexSet, candidate_faces: Iterable) -> Complex:
-    """Complex generated by the given faces; non-maximal candidates are absorbed."""
+    """Complex generated by the given faces; non-maximal candidates are absorbed.
+
+    Absorption compares a candidate only with the kept candidates of larger
+    size (``_maximal``), so a list of faces of one size, such as every facet
+    list of a pure complex, needs one sort and no containment test.
+    """
     masks = [universe.as_mask(f) for f in candidate_faces]
     return Complex(universe, _canonical(_maximal(masks)))
 
@@ -248,19 +269,32 @@ def alexander_dual(c: Complex) -> Complex:
 
 
 def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
-    """The unique complex whose minimal non-faces are exactly the given antichain."""
+    """The unique complex whose minimal non-faces are exactly the given antichain.
+
+    The antichain is checked with vertex-incidence masks: the non-faces that
+    contain a are the AND of the incidence masks of a's vertices, less a's
+    own bit.  Non-faces are taken in input order, and the first error is
+    reported: the empty set, or a against the first non-face that contains
+    it, the lowest bit of that AND.  Each non-face costs one AND per vertex,
+    on masks with one bit per non-face, in place of a pass over the list.
+    """
     masks = [universe.as_mask(f) for f in nonfaces]
     if len(set(masks)) != len(masks):
         raise InputError("duplicate non-faces")
-    for a in masks:
+    contain = _incidence(masks, universe.full_mask)
+    everyone = (1 << len(masks)) - 1
+    for i, a in enumerate(masks):
         if a == 0:
             raise InputError("the empty set cannot be a minimal non-face")
-        for b in masks:
-            if a != b and a & b == a:
-                raise InputError(
-                    "non-faces must form an antichain: {%s} contains {%s}"
-                    % (",".join(map(str, universe.members(b))), ",".join(map(str, universe.members(a))))
-                )
+        above = everyone ^ 1 << i
+        for v in _bit_indices(a):
+            above &= contain[v]
+        if above:
+            b = masks[(above & -above).bit_length() - 1]
+            raise InputError(
+                "non-faces must form an antichain: {%s} contains {%s}"
+                % (",".join(map(str, universe.members(b))), ",".join(map(str, universe.members(a))))
+            )
     if any(m.bit_count() == 1 for m in masks):
         warnings.warn("singleton non-face: the resulting complex has a ghost vertex", stacklevel=2)
     full = universe.full_mask

@@ -3,6 +3,9 @@
 Deliberately written in a different style from the library (label frozensets
 instead of bitmasks, plain Fraction/modular row reduction instead of
 fraction-free elimination) so that agreement is evidence, not tautology.
+The two mask-form all-pairs loops, ``pairwise_maximal`` and
+``pairwise_nonface_error``, are the library's own earlier code, kept as the
+reference for the faster versions in ``complexes`` that replaced them.
 """
 
 from fractions import Fraction
@@ -22,6 +25,35 @@ def brute_minimal_nonfaces(vertices, facet_sets):
     nonfaces = [s for s in powerset(vertices) if not any(s <= f for f in facet_sets)]
     return sorted((s for s in nonfaces if not any(t < s for t in nonfaces)),
                   key=lambda s: (len(s), sorted(map(repr, s))))
+
+
+def pairwise_maximal(masks):
+    """Inclusion-maximal members of a family of bitmasks, each tested
+    against every one kept so far, largest first."""
+    ms = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
+    out = []
+    for m in ms:
+        if not any(m & o == m for o in out):
+            out.append(m)
+    return out
+
+
+def pairwise_nonface_error(universe, masks):
+    """The InputError message a list of non-face masks earns, or None.
+
+    Duplicates first; then each non-face a in input order, against every
+    non-face b in input order: the empty set, or the first b containing a.
+    """
+    if len(set(masks)) != len(masks):
+        return "duplicate non-faces"
+    for a in masks:
+        if a == 0:
+            return "the empty set cannot be a minimal non-face"
+        for b in masks:
+            if a != b and a & b == a:
+                return "non-faces must form an antichain: {%s} contains {%s}" % (
+                    ",".join(map(str, universe.members(b))), ",".join(map(str, universe.members(a))))
+    return None
 
 
 def rref_rank(rows, p=None):

@@ -1,14 +1,20 @@
+import collections
+import random
+import warnings
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shellcert as sc
+from shellcert import complexes
 from shellcert.complexes import VertexSet, _maximal, _minimal_transversals
 
 from conftest import facet_sets, seeded_complexes, seeded_flag_complexes
-from oracles import brute_chordless_cycle, brute_minimal_nonfaces, skeleton_edges
+from oracles import (brute_chordless_cycle, brute_minimal_nonfaces, pairwise_maximal,
+                     pairwise_nonface_error, skeleton_edges)
 
 
 def cx(n_or_labels, facets):
@@ -194,6 +200,66 @@ class TestFromMinimalNonfaces:
             c = sc.from_minimal_nonfaces(u, [{1}])
         assert c.has_ghost_vertices
 
+    def test_k24_from_its_triangles(self):
+        # 2,024 non-faces: the antichain check must not compare all pairs
+        u = VertexSet.of(range(24))
+        c = sc.from_minimal_nonfaces(u, combinations(range(24), 3))
+        assert c == sc.from_facets(u, combinations(range(24), 2))
+
+    def test_validation_matches_the_double_loop_on_seeded_families(self):
+        seen = collections.Counter()
+        for family in seeded_mask_families(600, seed=2014):
+            got = assert_validation_matches_the_double_loop(family)
+            singleton = any(m.bit_count() == 1 for m in family)
+            seen[got.split(":")[0] if got else "singleton" if singleton else "valid"] += 1
+        assert len(seen) == 5 and min(seen.values()) >= 15, seen
+
+
+def seeded_mask_families(count, seed):
+    """Lists of up to about 60 masks of up to 64 bits: distinct random masks,
+    then a few masks inside or around them, zeros and repeats, and in a
+    quarter of the lists a vertex cut out of the rest as a singleton."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        width = rng.randint(1, 64)
+        family = list({rng.getrandbits(width) | 1 << rng.randrange(width)
+                       for _ in range(rng.randint(0, 30))})
+        for _ in range(rng.choice([0, 1, 2, rng.randint(0, 30)]) if family else 0):
+            m, other = rng.choice(family), rng.getrandbits(width)
+            pick = rng.choice([m & other, m & other, m | other, m | other,
+                               1 << rng.randrange(width), 0, m])
+            family.insert(rng.randint(0, len(family)), pick)
+        if rng.random() < 0.25:
+            v = 1 << rng.randrange(width)
+            family = [m & ~v for m in family if m & ~v] + [v]
+        out.append(family)
+    return out
+
+
+def assert_validation_matches_the_double_loop(masks):
+    """from_minimal_nonfaces on a 64-vertex universe raises the message
+    ``oracles.pairwise_nonface_error`` gives, or warns about a singleton
+    exactly as before; returns the message.  Only the validation is under
+    test, so the dualiser is stubbed out."""
+    u = VertexSet.of(range(100, 164))
+    expected = pairwise_nonface_error(u, masks)
+    got = None
+    with mock.patch.object(complexes, "_minimal_transversals", lambda family: []), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sc.from_minimal_nonfaces(u, masks)
+        except sc.InputError as e:
+            got = str(e)
+    assert got == expected
+    if expected is None and any(m.bit_count() == 1 for m in masks):
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (UserWarning, "singleton non-face: the resulting complex has a ghost vertex", __file__)]
+    else:
+        assert caught == []
+    return got
+
 
 class TestLink:
     def test_bundled_example(self):
@@ -348,16 +414,53 @@ class TestHelpers:
                         assert a & b != a and a & b != b
 
 
+@st.composite
+def mask_families(draw):
+    """Up to 60 masks of up to 64 bits, with zeros, duplicates and masks
+    inside or around others, so containments are common."""
+    top = (1 << draw(st.integers(min_value=1, max_value=64))) - 1
+    family = draw(st.lists(st.integers(min_value=0, max_value=top), max_size=30))
+    for _ in range(draw(st.integers(min_value=0, max_value=30)) if family else 0):
+        m, other = draw(st.sampled_from(family)), draw(st.integers(min_value=0, max_value=top))
+        pick = draw(st.sampled_from([m, m & other, m | other, 0]))
+        family.insert(draw(st.integers(min_value=0, max_value=len(family))), pick)
+    return family
+
+
 # internal helpers are load-bearing enough to pin down directly
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=255), max_size=12))
+@settings(max_examples=200, deadline=None)
+@given(mask_families())
+@example([])
+@example([0, 0])
+@example([0b11, 0b1, 0b110, 0b1, 0])
 def test_maximal_helper(masks):
     mx = _maximal(masks)
+    assert sorted(mx) == sorted(pairwise_maximal(masks))
+    sizes = [m.bit_count() for m in mx]
+    assert sizes == sorted(sizes, reverse=True)
     for m in masks:
         assert any(m & a == m for a in mx)
     for i, a in enumerate(mx):
         for b in mx[i + 1:]:
             assert a & b != a and a & b != b
+
+
+def test_maximal_helper_on_seeded_families():
+    families = seeded_mask_families(600, seed=1996)
+    for masks in families:
+        assert sorted(_maximal(masks)) == sorted(pairwise_maximal(masks))
+    assert sum(len(_maximal(m)) < len(set(m)) for m in families) >= 150
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_families())
+@example([0b1, 0])        # the empty set, after a non-face nothing contains
+@example([0b10, 0, 0b11])  # an earlier non-face's antichain error comes first
+@example([0b11, 0b101, 0b1])  # a is the last one: reported against the first b above it
+@example([0b1, 0b1])
+@example([0b1, 0b10])     # two singletons: one warning
+def test_nonface_validation_matches_the_double_loop(masks):
+    assert_validation_matches_the_double_loop(masks)
 
 
 @settings(max_examples=200, deadline=None)

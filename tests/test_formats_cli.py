@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,15 @@ class TestParse:
             c = parse_complex(doc)
             assert parse_complex(to_json_document(c)) == c
             assert parse_complex(to_text(c)) == c
+
+    def test_k48_skeleton_dual_from_a_facets_document(self):
+        # 17,296 facets of one size: absorption must not compare all pairs
+        vertices = list(range(48))
+        facets = [[v for v in vertices if v not in t] for t in combinations(vertices, 3)]
+        c = parse_complex(json.dumps({"vertices": vertices, "facets": facets}))
+        skeleton = sc.from_facets(sc.VertexSet.of(vertices), combinations(vertices, 2))
+        assert len(c.facets) == 17296
+        assert c == sc.alexander_dual(skeleton)
 
     def test_json_output_is_loadable(self):
         c = parse_complex('{"vertices":[1,2,3], "facets":[[1,2],[2,3]]}')

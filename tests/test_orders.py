@@ -78,10 +78,36 @@ class TestCheckShelling:
                 rng.shuffle(order)
                 assert sc.check_shelling_order(c, order) == oracle_report(c, order)
 
+    def test_reports_match_oracle_on_found_and_swapped_orders(self):
+        # certificates, the same with two facets swapped, and shuffles, on
+        # complexes of 3-7 vertices, the fixtures, and the duals of both
+        rng = random.Random(1996)
+        cases = seeded_complexes(300, seed=1996, n_range=(3, 7), accept=lambda c: len(c.facets) >= 2)
+        cases += [make() for make in FIXTURES.values()]
+        cases += [d for d in map(sc.alexander_dual, cases) if len(d.facets) >= 2]
+        orders = failed = 0
+        for c in cases:
+            cert = sc.find_shelling_order(c)
+            found = list(cert.sequence if cert is not None else c.facets)
+            swapped = list(found)
+            i, j = rng.sample(range(len(found)), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            shuffled = rng.sample(found, len(found))
+            for order in (found, swapped, shuffled):
+                rep = sc.check_shelling_order(c, order)
+                assert rep == oracle_report(c, order)
+                orders += 1
+                failed += not rep.ok
+            if cert is not None:
+                assert sc.check_shelling_order(c, cert)
+        assert orders >= 1500 and 500 <= failed <= orders - 500
+
     def test_reports_match_oracle_on_every_permutation(self, small_complexes):
         fixtures = [make() for make in FIXTURES.values()]
-        cases = [c for c in small_complexes + fixtures if len(c.facets) <= 5]
+        six = seeded_complexes(12, seed=720, n_range=(4, 7), accept=lambda c: len(c.facets) == 6)
+        cases = [c for c in small_complexes + fixtures + six if len(c.facets) <= 6]
         assert len(cases) > 50 and any(not c.is_pure for c in cases)
+        assert sum(len(c.facets) == 6 for c in cases) >= 12 and any(not c.is_pure for c in six)
         for c in cases:
             for p in permutations(c.facets):
                 assert sc.check_shelling_order(c, p) == oracle_report(c, p)
@@ -768,11 +794,11 @@ class TestFlagDualRefutation:
     def chordal_duals(count, seed, n_range=(8, 36)):
         """The non-void duals of the flag complexes of random chordal graphs.
 
-        Each new vertex is joined to most of one of the last two cliques
-        made, a clique being a vertex with its earlier neighbours, so each
-        vertex's earlier neighbours are pairwise adjacent and the graph is
-        chordal.  Labels are shuffled, and the dual is read off the
-        non-edges: its facets are their complements."""
+        Each new vertex is joined to part of one of the cliques made so far,
+        a clique being a vertex with its earlier neighbours, so each vertex's
+        earlier neighbours are pairwise adjacent and the graph is chordal.
+        Labels are shuffled, and the dual is read off the non-edges: its
+        facets are their complements."""
         rng = random.Random(seed)
         out = []
         while len(out) < count:
@@ -781,7 +807,7 @@ class TestFlagDualRefutation:
             cliques = [()]
             edges = set()
             for v in range(n):
-                near = [u for u in rng.choice(cliques[-2:]) if rng.random() < 0.95]
+                near = [u for u in rng.choice(cliques) if rng.random() < 0.8]
                 edges.update(frozenset((label[u], label[v])) for u in near)
                 cliques.append(tuple(near) + (v,))
             facets = [set(range(n)) - e for e in map(frozenset, combinations(range(n), 2))
@@ -808,7 +834,7 @@ class TestFlagDualRefutation:
                 shelled += 1
         assert len(flag) >= 250 and shelled >= 200
         assert max(d.universe.n for d in chordal) >= 30
-        assert max(len(d.facets) for d in chordal) >= 200
+        assert max(len(d.facets) for d in chordal) >= 500
 
     def test_same_answer_as_the_search_wherever_it_decides(self, monkeypatch):
         from shellcert import orders
