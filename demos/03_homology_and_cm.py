@@ -32,7 +32,7 @@ print("projective plane CM over Q:    ", sc.is_cohen_macaulay(pp, sc.QQ).ok)
 
 # sequential Cohen-Macaulayness tests every pure skeleton; the dual of the
 # ten-vertex catalog complex fails already in its top skeleton
-gd = sc.restrict_to_support(sc.alexander_dual(catalog.gcd_violator()))
+gd = sc.alexander_dual(catalog.gcd_violator())
 rep = sc.is_sequentially_cm(gd, sc.QQ)
 print("violator dual sequentially CM:", rep.ok,
       " witness skeleton:", rep.witness.skeleton_dim,

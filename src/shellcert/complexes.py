@@ -116,8 +116,6 @@ def _maximal(masks: Iterable[int]) -> list:
     a family of one size, such as the facets of a pure complex.
     """
     ms = sorted(set(masks), key=int.bit_count, reverse=True)
-    if not ms or ms[0].bit_count() == ms[-1].bit_count():
-        return ms
     out: list[int] = []
     larger: tuple = ()
     size = -1
@@ -320,8 +318,6 @@ def pure_skeleton(c: Complex, i: int) -> Complex:
     d = c.dim
     if d is VOID_DIM or not -1 <= i <= d:
         raise InputError("skeleton dimension %s out of range for a complex of dimension %s" % (i, d))
-    if i == -1:
-        return Complex(c.universe, (0,))
     gen: set[int] = set()
     k = i + 1
     for F in c.facets:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .complexes import Complex, alexander_dual, is_flag, restrict_to_support
+from .complexes import Complex, InputError, alexander_dual, is_flag
 from .homology import DEFAULT_FIELDS, Field, cm_reports, is_sequentially_cm
 from .orders import (
     Undecided,
@@ -177,21 +177,25 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
     the closure already has.  When the closure has decided the sequential
     CM slot, every requested field records that value in ``scm_by_field``
     (each once, first-seen order); nothing is recorded for the full simplex,
-    whose void dual has the empty shelling.  Otherwise the dual is swept on
-    its support: ghost vertices of the dual correspond to generators already
-    present in the Stanley-Reisner ideal and do not change the quotient
-    ring.  The fields are swept as ``homology.cm_reports`` says: each once,
-    and Q not after a prime field has passed.  When the per-field verdicts
-    disagree the slot stays undecided and the note records the split.  A search that runs out of ``orders.NODE_BUDGET`` leaves its
-    slot unknown, with an "undecided" note, rather than guessing.  The flag
-    bit, the dual and the strong gcd search all read the minimal non-faces
-    of c, which the complex computes once (see ``minimal_nonfaces``).
+    whose void dual has the empty shelling.  Otherwise the dual is swept as
+    it is: a ghost vertex of the dual lies in no face, so the sweep gives
+    the report of its support, and its generator, already in the
+    Stanley-Reisner ideal, does not change the quotient ring.  The fields
+    are swept as ``homology.cm_reports`` says: each once, and Q not after a
+    prime field has passed.  When the per-field verdicts disagree the slot
+    stays undecided and the note records the split.  An empty list of
+    fields raises InputError.  A search that runs out of
+    ``orders.NODE_BUDGET`` leaves its slot unknown, with an "undecided"
+    note, rather than guessing.  The flag bit, the dual and the strong gcd
+    search all read the minimal non-faces of c, which the complex computes
+    once (see ``minimal_nonfaces``).
     """
+    if not fields:
+        raise InputError("the fact table needs at least one field")
     table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
-    if not table.flag:
-        # placeholder; the closure may still upgrade it via an implication rule
-        table.slots["golod"].value = OUT_OF_SCOPE
-        table.slots["golod"].note = "no algebraic verification performed"
+    # placeholder; the closure may still upgrade it via an implication rule
+    table.slots["golod"].value = OUT_OF_SCOPE
+    table.slots["golod"].note = "no algebraic verification performed"
     dual = alexander_dual(c)
     slots = table.slots
 
@@ -220,7 +224,7 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
         if not dual.is_void:
             table.scm_by_field = dict.fromkeys((str(f) for f in fields), seq_cm.value == TRUE)
         return table
-    reports = cm_reports(is_sequentially_cm, restrict_to_support(dual), fields)
+    reports = cm_reports(is_sequentially_cm, dual, fields)
     table.scm_by_field = verdicts = {str(f): rep.ok for f, rep in reports}
     vals = set(verdicts.values())
     if len(vals) == 1:

@@ -61,6 +61,4 @@ def random_flag_complex(seed, n_vertices: int, edge_prob: float) -> Complex:
         for b in range(a + 1, n_vertices):
             if rng.random() >= edge_prob:
                 nonedges.append((1 << a) | (1 << b))
-    if not nonedges:
-        return from_facets(u, [u.full_mask])
     return from_minimal_nonfaces(u, nonedges)

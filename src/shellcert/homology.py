@@ -356,7 +356,7 @@ class CMReport:
     ok: bool
     field: Field
     witness: Optional[CMWitness] = None
-    degenerate: Optional[str] = None
+    degenerate: Optional[str] = None  # never set; perfbench/workloads.py still reads it
 
     def __bool__(self) -> bool:
         return self.ok
@@ -417,12 +417,14 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
 
 def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     """Link-vanishing test: every face's link (the empty face included) must
-    have zero reduced homology below its own dimension."""
+    have zero reduced homology below its own dimension.
+
+    Only faces are swept, and a ghost vertex lies in no face, so it plays no
+    part: the report equals that of ``restrict_to_support(c)``, whose
+    relabelling keeps the order of the faces and so the first failing one.
+    """
     if c.is_void:
         raise InputError("Cohen-Macaulayness of the void complex is undefined")
-    if c.has_ghost_vertices:
-        ghosts = c.universe.members(c.universe.full_mask ^ c.support)
-        return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
     w = _cm_witness(c.universe, _faces_by_size(c.facets), field, c.is_pure)
     return CMReport(w is None, field, witness=w)
 
@@ -438,13 +440,11 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     the i-skeleton of a Cohen-Macaulay complex, so it is Cohen-Macaulay and
     not swept; a pure complex costs one sweep, as in ``is_cohen_macaulay``.
     Only faces are swept, so vertices a skeleton leaves unused (a vertex
-    facet is in no pure 1-skeleton) play no part.
+    facet is in no pure 1-skeleton) play no part, and neither does a ghost
+    vertex of c: the report equals that of ``restrict_to_support(c)``.
     """
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")
-    if c.has_ghost_vertices:
-        ghosts = c.universe.members(c.universe.full_mask ^ c.support)
-        return CMReport(False, field, degenerate="ghost vertices %r: restrict to the support first" % (ghosts,))
     layers = _faces_by_size(c.facets)
     top = c.dim
     top_faces = layers if c.is_pure else _faces_by_size(layers[top + 1])

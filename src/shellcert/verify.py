@@ -12,7 +12,7 @@ from functools import partial
 from itertools import permutations
 
 from . import catalog
-from .complexes import alexander_dual, is_flag, link, minimal_nonfaces, pure_skeleton, restrict_to_support
+from .complexes import alexander_dual, is_flag, link, minimal_nonfaces, pure_skeleton
 from .facts import OUT_OF_SCOPE, build_fact_table
 from .homology import GF2, QQ, is_cohen_macaulay, is_sequentially_cm, reduced_homology
 from .orders import (
@@ -89,15 +89,14 @@ def _claims():
            no_gcd_exhaustive)
 
     def top_skeleton_not_cm():
-        gamma = restrict_to_support(pure_skeleton(gd, 5))
+        gamma = pure_skeleton(gd, 5)
         return (not is_cohen_macaulay(gamma, GF2) and not is_cohen_macaulay(gamma, QQ)), ""
 
     yield ("gcd-violator: pure top skeleton of the dual is not Cohen-Macaulay over either field",
            top_skeleton_not_cm)
 
     yield ("gcd-violator: dual is not sequentially Cohen-Macaulay",
-           lambda: (not is_sequentially_cm(restrict_to_support(gd), GF2)
-                    and not is_sequentially_cm(restrict_to_support(gd), QQ), ""))
+           lambda: (not is_sequentially_cm(gd, GF2) and not is_sequentially_cm(gd, QQ), ""))
 
     k = catalog.pentagon_circle()
 

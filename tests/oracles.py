@@ -6,6 +6,9 @@ fraction-free elimination) so that agreement is evidence, not tautology.
 The two mask-form all-pairs loops, ``pairwise_maximal`` and
 ``pairwise_nonface_error``, are the library's own earlier code, kept as the
 reference for the faster versions in ``complexes`` that replaced them.
+``brute_weak_failure`` and ``brute_strong_gcd_failure`` are the definitions
+of the two pair conditions, read as loops over label sets; they are the
+reference for the ``check_*`` validators.
 """
 
 from fractions import Fraction
@@ -135,6 +138,40 @@ def brute_shelling_failure(order):
         tops = [s for s in faces if not any(s < t for t in faces)]
         if any(len(s) != len(order[j]) - 1 for s in tops):
             return j, tops
+    return None
+
+
+def brute_weak_failure(vertices, order):
+    """First failing pair (i, j) of a weak shelling order given as label
+    sets, or None.
+
+    A pair i < j whose facets cover every vertex needs a third facet F_k,
+    k < j and k != i, containing F_i & F_j.  Pairs are taken by j, then by i.
+    """
+    vertices = frozenset(vertices)
+    order = [frozenset(f) for f in order]
+    for j, fj in enumerate(order):
+        for i, fi in enumerate(order[:j]):
+            if fi | fj == vertices and not any(
+                    fi & fj <= fk for k, fk in enumerate(order[:j]) if k != i):
+                return i, j
+    return None
+
+
+def brute_strong_gcd_failure(order):
+    """First failing pair (i, j) of a strong gcd-order of non-faces given as
+    label sets, or None.
+
+    A disjoint pair i < j needs a third non-face N_k, k > i and k != j (so k
+    may come after j), inside N_i | N_j.  Pairs are taken by i, then by j.
+    """
+    order = [frozenset(n) for n in order]
+    for i, ni in enumerate(order):
+        for j in range(i + 1, len(order)):
+            nj = order[j]
+            if not ni & nj and not any(
+                    order[k] <= ni | nj for k in range(i + 1, len(order)) if k != j):
+                return i, j
     return None
 
 

@@ -174,6 +174,12 @@ class TestBuildFactTable:
             assert calls == expected
             assert list(t.scm_by_field) == expected
 
+    def test_empty_field_list_rejected(self):
+        # with no field nothing could be swept or recorded, whichever slot decides
+        for c in (gcd_violator(), sc.alexander_dual(gcd_violator()), strong_gcd_witness()):
+            with pytest.raises(sc.InputError):
+                build_fact_table(c, fields=())
+
     def test_ghosted_complex_skips_ghost_sensitive_rules(self, monkeypatch):
         # two edges of a path: dual facets miss a single vertex each, the
         # shelling-to-gcd implication does not apply

@@ -399,11 +399,25 @@ class TestCli:
             assert code == 0 and out.splitlines() == ["GF(2): yes", "Q: yes"]
             assert swept == ["GF(2)"]
 
-    def test_cm_degenerate_input(self, capsys, tmp_path):
+    def test_cm_ghosted_input_is_answered(self, capsys, tmp_path):
+        # vertex 3 is a ghost; the answer is that of the edge on {1, 2}
         path = tmp_path / "g.json"
         path.write_text('{"vertices":[1,2,3], "facets":[[1,2]]}')
-        code, out, _ = self.run(["cm", str(path)], capsys)
-        assert code == 2 and "degenerate" in out
+        for cmd in ("cm", "scm"):
+            code, out, _ = self.run([cmd, str(path)], capsys)
+            assert code == 0 and out.splitlines() == ["GF(2): yes", "Q: yes"]
+
+    @pytest.mark.parametrize("seed, expected", [(4, EX_OK), (5, EX_OK), (6, EX_FAIL)])
+    def test_scm_of_a_ghosted_dual_agrees_with_the_table(self, capsys, tmp_path, seed, expected):
+        # random | dual | scm: each of these duals has a ghost vertex
+        c = sc.random_complex(seed, 6, 0.6)
+        dual = sc.alexander_dual(c)
+        assert dual.has_ghost_vertices
+        path = tmp_path / "d.json"
+        path.write_text(to_json_document(dual))
+        code, _, _ = self.run(["scm", str(path)], capsys)
+        slot = sc.build_fact_table(c).value("dual_seq_cm")
+        assert code == expected and slot == ("T" if expected == EX_OK else "F")
 
     def test_table(self, capsys):
         # every line of every fixture's table, provenance and notes included
@@ -556,6 +570,19 @@ class TestFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["dual", str(path)])
         assert code in (0, EX_INPUT), err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(DOCUMENTS)
+    def test_nonfaces_cm_and_scm_answer_or_reject(self, fuzz_dir, doc):
+        # a ghosted document gets an answer too; only a malformed or void one exits 2
+        path = fuzz_dir / "doc"
+        path.write_text(doc, encoding="utf-8")
+        for argv in (["nonfaces", str(path)], ["cm", str(path)], ["scm", str(path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EX_OK, EX_FAIL, EX_INPUT), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
 
     @settings(max_examples=100, deadline=None)
     @given(DOCUMENTS)

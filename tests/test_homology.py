@@ -220,12 +220,24 @@ class TestCohenMacaulay:
         assert sc.is_cohen_macaulay(p, sc.QQ).ok
         assert not sc.is_cohen_macaulay(p, sc.GF2).ok
 
-    def test_ghost_vertices_reported_degenerate(self):
-        c = cx(3, [{1, 2}])
-        rep = sc.is_cohen_macaulay(c, sc.QQ)
-        assert not rep.ok and rep.degenerate
-        rep2 = sc.is_sequentially_cm(c, sc.QQ)
-        assert not rep2.ok and rep2.degenerate
+    def test_ghost_vertices_play_no_part(self):
+        # a ghost lies in no face, so each report, witness included, is the support's
+        ghosted = lambda c: not c.is_void and c.has_ghost_vertices  # noqa: E731
+        seeded = seeded_complexes(150, seed=2433, n_range=(3, 8), accept=ghosted)
+        cases = [cx(3, [{1, 2}]), cx(4, [{1}, {3}]), cx(3, [()]), sc.alexander_dual(sc.random_complex(6, 6, 0.6))]
+        cases += filter(ghosted, seeded + [sc.alexander_dual(c) for c in seeded])
+        assert len(cases) >= 100
+        verdicts = set()
+        for c in cases:
+            support = sc.restrict_to_support(c)
+            assert support.universe.n < c.universe.n
+            for f in (sc.GF2, sc.Field.gf(3), sc.QQ):
+                for test in (sc.is_cohen_macaulay, sc.is_sequentially_cm):
+                    rep = test(c, f)
+                    assert rep == test(support, f)
+                    assert rep.degenerate is None
+                    verdicts.add(rep.ok)
+        assert verdicts == {True, False}
 
     def test_void_rejected(self):
         for test in (sc.is_cohen_macaulay, sc.is_sequentially_cm):

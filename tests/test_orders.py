@@ -9,7 +9,13 @@ from shellcert.complexes import VertexSet
 from shellcert.orders import _weak_moves
 
 from conftest import seeded_complexes, seeded_flag_complexes
-from oracles import brute_chordless_cycle, brute_shelling_failure, skeleton_edges
+from oracles import (
+    brute_chordless_cycle,
+    brute_shelling_failure,
+    brute_strong_gcd_failure,
+    brute_weak_failure,
+    skeleton_edges,
+)
 
 
 def cx(n, facets):
@@ -28,6 +34,32 @@ def oracle_report(c, order):
         return sc.CheckReport(True)
     j, tops = failure
     return sc.CheckReport(False, sc.StepWitness(j, canonical_masks(c, tops), len(sets[j]) - 2))
+
+
+def pair_report(failure):
+    """The CheckReport a pair validator owes an order whose oracle gave ``failure``."""
+    return sc.CheckReport(True) if failure is None else sc.CheckReport(False, sc.PairWitness(*failure))
+
+
+def weak_oracle_report(c, order):
+    return pair_report(brute_weak_failure(c.universe.labels, [c.universe.members(F) for F in order]))
+
+
+def gcd_oracle_report(c, order):
+    return pair_report(brute_strong_gcd_failure([c.universe.members(N) for N in order]))
+
+
+def found_swapped_shuffled(cases, find, items, rng):
+    """(complex, order) pairs: the found order (or the canonical list when
+    none is found), the same with two items swapped, and a shuffle."""
+    for c in cases:
+        cert = find(c)
+        found = list(cert.sequence if cert is not None else items(c))
+        swapped = list(found)
+        i, j = rng.sample(range(len(found)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for order in (found, swapped, rng.sample(found, len(found))):
+            yield c, order
 
 
 class TestCheckShelling:
@@ -161,6 +193,30 @@ class TestCheckWeakShelling:
         d = dunce_hat()
         assert sc.check_weak_shelling_order(d, list(d.facets))
         assert sc.check_weak_shelling_order(d, list(reversed(d.facets)))
+
+    def test_reports_match_the_definition_on_found_and_swapped_orders(self):
+        # complexes of 3-7 vertices, the fixtures, and the duals of both
+        rng = random.Random(1993)
+        cases = seeded_complexes(400, seed=1993, n_range=(3, 7))
+        cases += [make() for make in FIXTURES.values()]
+        cases = [c for c in cases + list(map(sc.alexander_dual, cases)) if len(c.facets) >= 2]
+        orders = failed = 0
+        for c, order in found_swapped_shuffled(cases, sc.find_weak_shelling_order, lambda c: c.facets, rng):
+            rep = sc.check_weak_shelling_order(c, order)
+            assert rep == weak_oracle_report(c, order)
+            orders += 1
+            failed += not rep.ok
+        assert orders >= 1000 and 100 <= failed <= orders - 100
+
+    def test_reports_match_the_definition_on_every_order_of_the_violator_dual(self):
+        from shellcert.catalog import gcd_violator
+        d = sc.alexander_dual(gcd_violator())
+        witnesses = set()
+        for p in permutations(d.facets):
+            rep = sc.check_weak_shelling_order(d, p)
+            assert rep == weak_oracle_report(d, p) and not rep.ok
+            witnesses.add((rep.witness.i, rep.witness.j))
+        assert len(witnesses) > 1
 
 
 class TestCheckStrongGcd:
@@ -308,19 +364,6 @@ class TestFindStrongGcd:
         assert cert2 is not None and len(cert2.sequence) == 1
 
 
-def triple_loop_gcd_check(seq):
-    """``check_strong_gcd_order`` on a sequence of masks, as a plain triple loop."""
-    r = len(seq)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if seq[i] & seq[j]:
-                continue
-            union = seq[i] | seq[j]
-            if not any(k != j and seq[k] & ~union == 0 for k in range(i + 1, r)):
-                return sc.CheckReport(False, sc.PairWitness(i, j))
-    return sc.CheckReport(True)
-
-
 class TestStrongGcdCheck:
     def test_every_violator_order_matches_the_triple_loop(self):
         from shellcert.catalog import gcd_violator
@@ -328,9 +371,24 @@ class TestStrongGcdCheck:
         witnesses = set()
         for p in permutations(sc.minimal_nonfaces(c)):
             rep = sc.check_strong_gcd_order(c, p)
-            assert rep == triple_loop_gcd_check(p)
+            assert rep == gcd_oracle_report(c, p)
             witnesses.add((rep.witness.i, rep.witness.j))
         assert len(witnesses) > 1
+
+    def test_reports_match_the_definition_on_found_and_swapped_orders(self):
+        # complexes of 3-7 vertices, the fixtures, and the duals of both
+        rng = random.Random(2008)
+        cases = seeded_complexes(400, seed=2008, n_range=(3, 7))
+        cases += [make() for make in FIXTURES.values()]
+        cases = [c for c in cases + list(map(sc.alexander_dual, cases))
+                 if len(sc.minimal_nonfaces(c)) >= 2]
+        orders = failed = 0
+        for c, order in found_swapped_shuffled(cases, sc.find_strong_gcd_order, sc.minimal_nonfaces, rng):
+            rep = sc.check_strong_gcd_order(c, order)
+            assert rep == gcd_oracle_report(c, order)
+            orders += 1
+            failed += not rep.ok
+        assert orders >= 1000 and 100 <= failed <= orders - 100
 
     def test_seeded_orders_match_the_triple_loop(self):
         rng = random.Random(8128)
@@ -346,7 +404,7 @@ class TestStrongGcdCheck:
                 orders.append(cert.sequence)
             for seq in orders:
                 rep = sc.check_strong_gcd_order(c, seq)
-                assert rep == triple_loop_gcd_check(seq)
+                assert rep == gcd_oracle_report(c, seq)
                 oks.add(rep.ok)
         assert oks == {True, False}
 
