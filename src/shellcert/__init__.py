@@ -12,6 +12,7 @@ from .complexes import (
     Complex,
     InputError,
     ChordalCertificate,
+    Undecided,
     VertexSet,
     alexander_dual,
     chordal_certificate,
@@ -48,7 +49,6 @@ from .orders import (
     OrderCertificate,
     PairWitness,
     StepWitness,
-    Undecided,
     check_shelling_order,
     check_strong_gcd_order,
     check_weak_shelling_order,

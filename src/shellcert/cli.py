@@ -2,7 +2,10 @@
 
 Subcommands operate on a complex document (JSON or plain text, see
 ``formats``) given as a file path, ``-`` for stdin, or ``--fixture NAME`` for
-a bundled catalog complex; exactly one of them.
+a bundled catalog complex; exactly one of them.  ``main`` loads that one
+input, so a loading error wins over the command's own errors, and passes the
+complex to the command as ``cmd_<name>(c, args)``; the commands that read no
+complex (``verify-paper``, ``random``, ``hunt``) take ``cmd_<name>(args)``.
 
 Exit codes: 0 the property holds / verification passed, 1 the property fails
 or a counterexample was found, 2 input error, 3 undecided (an order search
@@ -21,6 +24,7 @@ from . import catalog
 from .complexes import (
     Complex,
     InputError,
+    Undecided,
     alexander_dual,
     is_flag,
     minimal_nonfaces,
@@ -34,7 +38,6 @@ from .orders import (
     SHELLING,
     STRONG_GCD,
     WEAK_SHELLING,
-    Undecided,
     check_shelling_order,
     check_strong_gcd_order,
     check_weak_shelling_order,
@@ -49,9 +52,6 @@ EX_FAIL = 1
 EX_INPUT = 2
 EX_UNDECIDED = 3
 EX_INTERNAL = 4
-
-_FIELD_HELP = "gf2, gf<p> or GF(p) for a prime p < 2**31, or q (repeatable)"
-
 
 def _conditions() -> dict:
     """CLI condition name -> (kind, checker, finder), built from this module's
@@ -83,10 +83,6 @@ def _load(args) -> Complex:
     return parse_complex(text)
 
 
-def _fmt_face(c: Complex, mask: int) -> str:
-    return "{%s}" % ",".join(str(v) for v in c.universe.members(mask))
-
-
 def _parse_order(spec: str, items) -> list:
     """An order given as comma-separated 0-based positions into the canonical list; "" is empty."""
     try:
@@ -98,28 +94,24 @@ def _parse_order(spec: str, items) -> list:
     return [items[i] for i in idx]
 
 
-def cmd_dual(args) -> int:
-    c = _load(args)
+def cmd_dual(c, args) -> int:
     print(to_json_document(alexander_dual(c)))
     return EX_OK
 
 
-def cmd_nonfaces(args) -> int:
-    c = _load(args)
+def cmd_nonfaces(c, args) -> int:
     for m in minimal_nonfaces(c):
         print(" ".join(str(v) for v in c.universe.members(m)))
     return EX_OK
 
 
-def cmd_flag(args) -> int:
-    c = _load(args)
+def cmd_flag(c, args) -> int:
     verdict = is_flag(c)
     print("flag" if verdict else "not flag")
     return EX_OK if verdict else EX_FAIL
 
 
-def cmd_check(args) -> int:
-    c = _load(args)
+def cmd_check(c, args) -> int:
     kind, check, _ = _conditions()[args.condition]
     items = minimal_nonfaces(c) if kind == STRONG_GCD else list(c.facets)
     rep = check(c, _parse_order(args.order, items))
@@ -130,8 +122,7 @@ def cmd_check(args) -> int:
     return EX_FAIL
 
 
-def cmd_find(args) -> int:
-    c = _load(args)
+def cmd_find(c, args) -> int:
     kind, check, find = _conditions()[args.condition]
     cert = find(c)
     if cert is None:
@@ -145,7 +136,7 @@ def cmd_find(args) -> int:
         raise RuntimeError("the %s order found fails its check" % kind)
     print("found %s order:" % kind)
     for m in cert.sequence:
-        print("  " + _fmt_face(c, m))
+        print("  {%s}" % ",".join(str(v) for v in c.universe.members(m)))
     return EX_OK
 
 
@@ -156,15 +147,13 @@ def _fields(args):
     return DEFAULT_FIELDS
 
 
-def cmd_homology(args) -> int:
-    c = _load(args)
+def cmd_homology(c, args) -> int:
     for f in _fields(args):
         print(str(reduced_homology(c, f)))
     return EX_OK
 
 
-def _cm_command(args, tester) -> int:
-    c = _load(args)
+def _cm_command(c, args, tester) -> int:
     worst = EX_OK
     for f, rep in cm_reports(tester, c, _fields(args)):
         if rep.ok:
@@ -175,24 +164,21 @@ def _cm_command(args, tester) -> int:
     return worst
 
 
-def cmd_cm(args) -> int:
-    return _cm_command(args, is_cohen_macaulay)
+def cmd_cm(c, args) -> int:
+    return _cm_command(c, args, is_cohen_macaulay)
 
 
-def cmd_scm(args) -> int:
-    return _cm_command(args, is_sequentially_cm)
+def cmd_scm(c, args) -> int:
+    return _cm_command(c, args, is_sequentially_cm)
 
 
-def cmd_table(args) -> int:
-    c = _load(args)
+def cmd_table(c, args) -> int:
     table = build_fact_table(c, fields=_fields(args))
     if args.fixture in catalog.CLAIMS:
-        claimed = catalog.CLAIMS[args.fixture]
-        print("catalog claim: %s" % (claimed,))
+        print("catalog claim: %s" % (catalog.CLAIMS[args.fixture],))
     print(table.as_text())
-    if any(s.note.startswith("undecided") for s in table.slots.values()):
-        return EX_UNDECIDED
-    return EX_OK
+    undecided = any(s.note.startswith("undecided") for s in table.slots.values())
+    return EX_UNDECIDED if undecided else EX_OK
 
 
 def cmd_verify_paper(args) -> int:
@@ -222,60 +208,40 @@ def cmd_hunt(args) -> int:
     return EX_FAIL if report.hits else EX_OK
 
 
-def _add_input_options(p):
-    p.add_argument("input", nargs="?", help="complex document path, or '-' for stdin")
-    p.add_argument("--fixture", help="use a bundled catalog complex instead of a file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="shellcert",
                                   description="decide and certify order conditions on simplicial complexes")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dual", help="print the Alexander dual")
-    _add_input_options(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("nonfaces", help="print the minimal non-faces")
-    _add_input_options(p)
-    p.set_defaults(func=cmd_nonfaces)
-
-    p = sub.add_parser("flag", help="is every minimal non-face a pair?")
-    _add_input_options(p)
-    p.set_defaults(func=cmd_flag)
+    for name, func, text in (("dual", cmd_dual, "print the Alexander dual"),
+                             ("nonfaces", cmd_nonfaces, "print the minimal non-faces"),
+                             ("flag", cmd_flag, "is every minimal non-face a pair?")):
+        sub.add_parser(name, help=text).set_defaults(func=func)
 
     p = sub.add_parser("check", help="validate a given order")
     p.add_argument("condition", choices=sorted(_conditions()))
     p.add_argument("--order", required=True,
                    help="comma-separated 0-based positions into the canonical facet "
                         "(or non-face, for sgcd) list")
-    _add_input_options(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("find", help="search for an order; exit 3 when undecided")
     p.add_argument("condition", choices=sorted(_conditions()))
-    _add_input_options(p)
     p.set_defaults(func=cmd_find)
 
-    p = sub.add_parser("homology", help="reduced homology ranks")
-    p.add_argument("--field", action="append", help=_FIELD_HELP)
-    _add_input_options(p)
-    p.set_defaults(func=cmd_homology)
+    for name, func, text in (("homology", cmd_homology, "reduced homology ranks"),
+                             ("cm", cmd_cm, "Cohen-Macaulay test (link vanishing)"),
+                             ("scm", cmd_scm, "sequentially Cohen-Macaulay test (pure skeleta)"),
+                             ("table", cmd_table, "the four-condition fact table with provenance")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--field", action="append",
+                       help="gf2, gf<p> or GF(p) for a prime p < 2**31, or q (repeatable)")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("cm", help="Cohen-Macaulay test (link vanishing)")
-    p.add_argument("--field", action="append", help=_FIELD_HELP)
-    _add_input_options(p)
-    p.set_defaults(func=cmd_cm)
-
-    p = sub.add_parser("scm", help="sequentially Cohen-Macaulay test (pure skeleta)")
-    p.add_argument("--field", action="append", help=_FIELD_HELP)
-    _add_input_options(p)
-    p.set_defaults(func=cmd_scm)
-
-    p = sub.add_parser("table", help="the four-condition fact table with provenance")
-    p.add_argument("--field", action="append", help=_FIELD_HELP)
-    _add_input_options(p)
-    p.set_defaults(func=cmd_table)
+    # every command so far reads one complex; its input options come last
+    for p in sub.choices.values():
+        p.add_argument("input", nargs="?", help="complex document path, or '-' for stdin")
+        p.add_argument("--fixture", help="use a bundled catalog complex instead of a file")
 
     p = sub.add_parser("verify-paper", help="re-derive every bundled catalog claim")
     p.set_defaults(func=cmd_verify_paper)
@@ -300,6 +266,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "input" in args:
+            return args.func(_load(args), args)
         return args.func(args)
     except InputError as e:
         print("input error: %s" % e, file=sys.stderr)

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "VOID_DIM",
     "InputError",
+    "Undecided",
     "VertexSet",
     "Complex",
     "from_facets",
@@ -44,6 +45,14 @@ VOID_DIM = float("-inf")
 
 class InputError(ValueError):
     """Raised when an operation receives a malformed or inconsistent input."""
+
+
+class Undecided(Exception):
+    """An order search visited ``orders.NODE_BUDGET`` prefix-sets without an answer.
+
+    Deliberately distinct from a None result: None means *proven* that no
+    order exists, Undecided means the search gave up.
+    """
 
 
 @dataclass(frozen=True)

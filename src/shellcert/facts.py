@@ -43,10 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .complexes import Complex, InputError, alexander_dual, is_flag
+from .complexes import Complex, InputError, Undecided, alexander_dual, is_flag
 from .homology import DEFAULT_FIELDS, Field, cm_reports, is_sequentially_cm
 from .orders import (
-    Undecided,
     check_strong_gcd_order,
     find_shelling_order,
     find_strong_gcd_order,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import Complex, InputError, alexander_dual, restrict_to_support
+from .complexes import Complex, InputError, Undecided, alexander_dual, restrict_to_support
 from .formats import to_json_document
 from .generators import random_complex
 from .homology import DEFAULT_FIELDS, cm_reports, is_sequentially_cm
-from .orders import Undecided, find_weak_shelling_order, is_trivially_weakly_shellable
+from .orders import find_weak_shelling_order, is_trivially_weakly_shellable
 
 __all__ = ["STAGES", "HuntReport", "screen_candidate", "hunt_counterexample"]
 

@@ -98,6 +98,7 @@ from typing import Optional, Sequence, Union
 from .complexes import (
     Complex,
     InputError,
+    Undecided,
     _bit_indices,
     _canonical,
     _incidence,
@@ -134,14 +135,6 @@ STRONG_GCD = "strong-gcd"
 
 #: Prefix-sets any one order search may visit before it raises Undecided.
 NODE_BUDGET = 250_000
-
-
-class Undecided(Exception):
-    """An order search visited ``NODE_BUDGET`` prefix-sets without an answer.
-
-    Deliberately distinct from a None result: None means *proven* that no
-    order exists, Undecided means the search gave up.
-    """
 
 
 @dataclass(frozen=True)

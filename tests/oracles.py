@@ -8,7 +8,9 @@ The two mask-form all-pairs loops, ``pairwise_maximal`` and
 reference for the faster versions in ``complexes`` that replaced them.
 ``brute_weak_failure`` and ``brute_strong_gcd_failure`` are the definitions
 of the two pair conditions, read as loops over label sets; they are the
-reference for the ``check_*`` validators.
+reference for the ``check_*`` validators.  ``brute_dual_scm_gf2`` decides the
+Alexander dual's sequential Cohen-Macaulayness from restrictions of the
+complex itself, the reference for the link sweep from the other side.
 """
 
 from fractions import Fraction
@@ -219,3 +221,38 @@ def brute_chordless_cycle(vertices, edges):
         if seen == w:
             return w
     return None
+
+
+def brute_dual_scm_gf2(vertices, facet_sets):
+    """Whether the Alexander dual of the complex is sequentially
+    Cohen-Macaulay over GF(2), read on the complex's own side.
+
+    Let D live on V with n = |V|, and let q be the least size of a minimal
+    non-face.  For q <= j <= n - 1 let G_j be the sets all of whose
+    j-subsets are faces of D; its minimal non-faces are the j-element
+    non-faces of D, so G_j's dual is the pure skeleton of dimension n - j - 1
+    of D's dual.  By Eagon-Reiner and Hochster's formula that skeleton is
+    Cohen-Macaulay iff H~_i(G_j|W) = 0 for every subset W of V and every
+    i >= j - 1, and by Duval's criterion the dual is sequentially CM iff
+    every pure skeleton is.  G_j contains every set of fewer than j
+    vertices; G_0 is void (the empty set is its one 0-subset), and a void
+    restriction has no homology.
+    """
+    vertices = frozenset(vertices)
+    faces = {s for f in facet_sets for s in powerset(f)}
+    nonfaces = brute_minimal_nonfaces(vertices, facet_sets)
+    if not nonfaces:
+        return True  # the full simplex: its dual is void
+    for j in range(len(nonfaces[0]), len(vertices)):
+        gamma = {s for s in powerset(vertices)
+                 if all(frozenset(t) in faces for t in combinations(s, j))}
+        for w in powerset(vertices):
+            if len(w) <= j or w in gamma:
+                continue  # an i-cycle, i >= j - 1, needs j + 1 vertices; a simplex has none
+            restricted = [s for s in gamma if s <= w]
+            if not restricted:
+                continue
+            ranks = brute_reduced_homology(w, restricted, 2)
+            if any(r for i, r in ranks.items() if i >= j - 1):
+                return False
+    return True

@@ -6,13 +6,14 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellcert as sc
-from shellcert import catalog
+from shellcert import catalog, orders
 from shellcert.cli import EX_FAIL, EX_INPUT, EX_INTERNAL, EX_OK, EX_UNDECIDED, main
 from shellcert.formats import parse_complex, to_json_document, to_text
 
@@ -44,6 +45,21 @@ INPUT_ERRORS = [
                  "duplicate non-faces", id="nonfaces-duplicate"),
     pytest.param(["dual"], '{"vertices": [1,2], "nonfaces": [[]]}',
                  "the empty set cannot be a minimal non-face", id="nonfaces-empty-set"),
+]
+
+
+# every command that reads a complex: the arguments before its input, and after
+# (a path after --order would not be taken as check's input)
+READERS = [
+    pytest.param(["dual"], [], id="dual"),
+    pytest.param(["nonfaces"], [], id="nonfaces"),
+    pytest.param(["flag"], [], id="flag"),
+    pytest.param(["check", "shelling"], ["--order", "0"], id="check"),
+    pytest.param(["find", "weak"], [], id="find"),
+    pytest.param(["homology"], [], id="homology"),
+    pytest.param(["cm"], [], id="cm"),
+    pytest.param(["scm"], [], id="scm"),
+    pytest.param(["table"], [], id="table"),
 ]
 
 
@@ -516,6 +532,32 @@ class TestCli:
         code, _, _ = self.run(["dual", "/nonexistent/path.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["missing-input", "file-and-fixture", "unknown-fixture",
+                                      "missing-file", "undecodable-file"])
+    @pytest.mark.parametrize("command, options", READERS)
+    def test_every_reader_reports_a_loading_error_as_dual_does(self, command, options, case, capsys, tmp_path):
+        good = tmp_path / "tri.json"
+        good.write_text('{"vertices":[1,2,3], "facets":[[1,2],[2,3],[1,3]]}')
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"vertices: 1 2\n1 \xff\n")
+        source = {
+            "missing-input": [],
+            "file-and-fixture": [str(good), "--fixture", "pentagon"],
+            "unknown-fixture": ["--fixture", "nope"],
+            "missing-file": [str(tmp_path / "missing.json")],
+            "undecodable-file": [str(undecodable)],
+        }[case]
+        code, out, err = self.run(["dual"] + source, capsys)
+        assert (code, out) == (EX_INPUT, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert self.run(command + source + options, capsys) == (code, out, err)
+
+    def test_loading_error_wins_over_a_bad_order(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        expected = self.run(["dual", missing], capsys)
+        assert expected[0] == EX_INPUT and expected[2].startswith("input error: [Errno 2]")
+        assert self.run(["check", "shelling", missing, "--order", "x"], capsys) == expected
+
 
 # Generated documents for the fuzz tests.  Every vertex list has at most six
 # entries, so each example is small and finishes quickly.
@@ -549,6 +591,31 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def run_quietly(argv):
+    """(exit code, stdout, stderr) of one CLI run, outside pytest's capture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the commands that search for an order, and the four slot lines of a table
+SEARCHERS = (["find", "shelling"], ["find", "weak"], ["find", "sgcd"], ["table"])
+SLOT_NAMES = ["dual shellable", "strong gcd", "dual seq. CM", "Golod"]
+
+
+def run_searcher(argv):
+    """Run one searching command; any answer but an internal error will do,
+    and an undecided table still prints every slot."""
+    code, out, err = run_quietly(argv)
+    assert code in (EX_OK, EX_FAIL, EX_INPUT, EX_UNDECIDED), (argv, err)
+    assert "Traceback" not in err, argv
+    if argv[0] == "table" and code == EX_UNDECIDED:
+        slots = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith("catalog claim")]
+        assert slots == SLOT_NAMES, (argv, out)
+    return code
+
+
 @pytest.mark.filterwarnings("ignore:singleton non-face")
 class TestFuzz:
     @settings(max_examples=200, deadline=None)
@@ -566,10 +633,8 @@ class TestFuzz:
     def test_dual_exits_ok_or_input_error(self, fuzz_dir, doc):
         path = fuzz_dir / "doc"
         path.write_text(doc, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["dual", str(path)])
-        assert code in (0, EX_INPUT), err.getvalue()
+        code, _, err = run_quietly(["dual", str(path)])
+        assert code in (0, EX_INPUT), err
 
     @settings(max_examples=100, deadline=None)
     @given(DOCUMENTS)
@@ -578,11 +643,9 @@ class TestFuzz:
         path = fuzz_dir / "doc"
         path.write_text(doc, encoding="utf-8")
         for argv in (["nonfaces", str(path)], ["cm", str(path)], ["scm", str(path)]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (EX_OK, EX_FAIL, EX_INPUT), (argv, err.getvalue())
-            assert "Traceback" not in err.getvalue(), argv
+            code, _, err = run_quietly(argv)
+            assert code in (EX_OK, EX_FAIL, EX_INPUT), (argv, err)
+            assert "Traceback" not in err, argv
 
     @settings(max_examples=100, deadline=None)
     @given(DOCUMENTS)
@@ -590,7 +653,22 @@ class TestFuzz:
         path = fuzz_dir / "doc"
         path.write_text(doc, encoding="utf-8")
         for argv in (["find", "weak", str(path)], ["table", str(path)]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (EX_OK, EX_FAIL, EX_INPUT, EX_UNDECIDED), (argv, err.getvalue())
+            code, _, err = run_quietly(argv)
+            assert code in (EX_OK, EX_FAIL, EX_INPUT, EX_UNDECIDED), (argv, err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(DOCUMENTS)
+    def test_searches_at_a_budget_of_one_state_never_exit_internal_error(self, fuzz_dir, doc):
+        # patched in the body: Hypothesis rejects function-scoped fixtures such as monkeypatch
+        path = fuzz_dir / "doc"
+        path.write_text(doc, encoding="utf-8")
+        with mock.patch.object(orders, "NODE_BUDGET", 1):
+            for argv in SEARCHERS:
+                run_searcher(argv + [str(path)])
+
+    def test_searches_on_the_fixtures_at_a_budget_of_one_state(self):
+        # the fixtures reach the budget, so the undecided path is exercised
+        with mock.patch.object(orders, "NODE_BUDGET", 1):
+            codes = [run_searcher(argv + ["--fixture", name])
+                     for name in sorted(catalog.FIXTURES) for argv in SEARCHERS]
+        assert EX_UNDECIDED in codes

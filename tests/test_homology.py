@@ -10,8 +10,9 @@ from shellcert.catalog import FIXTURES, dunce_hat, gcd_violator, pentagon_circle
 from shellcert.complexes import VertexSet, _faces_by_size
 from shellcert.homology import rank_gf2, rank_sparse
 
-from conftest import facet_sets, seeded_complexes
+from conftest import facet_sets, seeded_complexes, seeded_flag_complexes
 from oracles import (
+    brute_dual_scm_gf2,
     brute_reduced_homology,
     brute_shelling_failure,
     euler_from_faces,
@@ -343,6 +344,30 @@ class TestQSweepAgainstOracle:
                 if expected is not None:
                     w = rep.witness
                     assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
+
+
+def restriction_side_inputs():
+    """Seeded complexes on 4-6 vertices and their duals, duals of seeded
+    flags on 4-7 vertices, and the fixtures on at most 8 vertices."""
+    base = seeded_complexes(150, seed=2025, n_range=(4, 6))
+    flags = seeded_flag_complexes(120, seed=7, n_range=(4, 7))
+    return (base + [sc.alexander_dual(c) for c in base] + [sc.alexander_dual(f) for f in flags]
+            + [make() for make in FIXTURES.values() if make().universe.n <= 8])
+
+
+def test_sequentially_cm_matches_the_restriction_side_oracle():
+    # the swept complex is the dual of the complex its support's dual is;
+    # a ghost plays no part in the sweep
+    checked = failing = 0
+    for c in restriction_side_inputs():
+        if c.is_void:
+            continue
+        other = sc.alexander_dual(sc.restrict_to_support(c))
+        expected = sc.is_sequentially_cm(c, sc.GF2).ok
+        assert brute_dual_scm_gf2(other.universe.labels, facet_sets(other)) == expected, c.facet_members()
+        checked += 1
+        failing += not expected
+    assert checked >= 300 and failing >= 40
 
 
 class TestCMReports:
