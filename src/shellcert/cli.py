@@ -264,7 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    # argparse fills the optional `input` while reading `check`'s condition, so
+    # a path after `--order` is left over: it is the input
+    if (rest and "input" in args and args.input is None
+            and (rest[0] == "-" or not rest[0].startswith("-"))):
+        args.input = rest.pop(0)
+    if rest:
+        parser.error("unrecognized arguments: %s" % " ".join(rest))
     try:
         if "input" in args:
             return args.func(_load(args), args)

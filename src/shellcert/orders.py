@@ -45,6 +45,23 @@ inadmissible.  Otherwise (D) nothing changes.  So only the inadmissible R
 facets and the admissible N facets are rechecked, and every mask equals a
 full recheck (``_shelling_moves`` gives the details).
 
+That step test is exact.  Write S for the placed facets.  If F meets S in a
+pure complex of dimension dim F - 1 and some G in S contains W(F), then
+F & G, a proper face of F, lies in a ridge F - v of that complex, which lies
+in a facet of S, so v is in W(F) although G misses it.  Conversely, if no
+facet of S contains W(F), each G in S misses some v in W(F), so F & G lies
+in the ridge F - v, which lies in a facet of S.
+
+Before any shelling search, ``find_shelling_order`` walks the search's
+*first descent* once: the facets by non-increasing size, in index order
+within a size, each appended after the step test.  At every state the search
+branches on the lowest-index admissible facet of the largest size left, and
+nothing is dead before its first backtrack, so when every step of the
+descent passes the search takes exactly those steps and returns that order;
+the walk returns it without building the search's tables.  A step costs
+O(|F|) mask operations, by prefix and suffix ANDs over F's vertices.  When a
+step fails, the root refutation and the search run as before.
+
 The weak condition adds two exact rules.  Write sigma(i, j) for the possible
 savers of a full-union pair, the facets k other than i, j with
 F_i & F_j inside F_k.
@@ -92,6 +109,7 @@ prefix-closed while the gcd condition is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Optional, Sequence, Union
 
@@ -305,7 +323,37 @@ def _search_order(r: int, moves):
     return [bit.bit_length() - 1 for bit in placed]
 
 
-def _shelling_moves(facets: Sequence[int], full: int):
+def _first_descent(facets: Sequence[int], contain: Sequence[int]) -> Optional[list]:
+    """The shelling search's first path, or None when a step of it fails.
+
+    The facets are taken by non-increasing size, in index order within a
+    size.  F may follow the placed set S when no facet of S contains W, the
+    vertices v of F whose ridge F - v lies in a facet of S (the step test of
+    ``_shelling_moves``).  The facets of S containing F - v_i are
+    pre[i] & suf[i + 1], prefix and suffix ANDs of the incidence masks of
+    F's vertices that start from S, so a step costs O(|F|) mask operations.
+    """
+    order = sorted(range(len(facets)), key=lambda i: -facets[i].bit_count())
+    state = 0
+    for i in order:
+        if state:
+            rows = [contain[v] for v in _bit_indices(facets[i])]
+            suf = [state]
+            for cv in reversed(rows):
+                suf.append(suf[-1] & cv)
+            suf.reverse()
+            pre = block = state
+            for k, cv in enumerate(rows):
+                if pre & suf[k + 1]:
+                    block &= cv
+                pre &= cv
+            if block:
+                return None
+        state |= 1 << i
+    return order
+
+
+def _shelling_moves(facets: Sequence[int], full: int, contain: Optional[list] = None):
     """The shelling condition as a moves function for ``_search_order``.
 
     Appending F after a nonempty prefix-set S is allowed iff every maximal
@@ -331,11 +379,13 @@ def _shelling_moves(facets: Sequence[int], full: int):
     R facets and the admissible N facets are rechecked; every mask equals a
     full recheck of the layer.  At the first two states (``state ==
     added``, 0 at the root) and when x's layer has just run out, every
-    unplaced facet of the current layer is checked.
+    unplaced facet of the current layer is checked.  ``contain`` takes the
+    facets' incidence masks when the caller has built them already.
     """
     r = len(facets)
     goal = (1 << r) - 1
-    contain = _incidence(facets, full)
+    if contain is None:
+        contain = _incidence(facets, full)
     by_size: dict[int, int] = {}
     for i, F in enumerate(facets):
         by_size[F.bit_count()] = by_size.get(F.bit_count(), 0) | 1 << i
@@ -483,6 +533,17 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     proof at any size; Undecided is raised when the search visits
     ``NODE_BUDGET`` prefix-sets without an answer.
 
+    Outside the flag duals below, the search's first descent, the facets by
+    non-increasing size in index order within a size, is checked first, one
+    step test a facet (``_first_descent``), and returned when every step
+    passes.  The answer is the search's: the search branches on the
+    lowest-index admissible facet of the largest size left, so when every
+    step passes it takes exactly those steps and returns the same order.  A
+    complex with a shelling never meets the root refutation below, so
+    checking the descent before it changes no answer either.  The walk
+    places each facet once and does not count against ``NODE_BUDGET``.  When
+    a step fails, the refutation and the search run.
+
     Before any search, a pure complex of dimension d >= 0 whose every ridge
     lies in two facets and whose facets' boundary rows are independent over
     GF(2) returns None.  Proof: in a shelling, every ridge of the last facet
@@ -531,9 +592,14 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
         pos = {c.universe.mask([v]): i for i, v in enumerate(cert.vertices)}
         nonedges = sorted(nonedges, key=lambda e: sorted((pos[e & -e], pos[e & e - 1])))
         return OrderCertificate(SHELLING, c, tuple(full ^ e for e in nonedges))
-    elif _closed_and_acyclic(c):
+    facets = c.facets
+    contain = _incidence(facets, full)
+    descent = _first_descent(facets, contain)
+    if descent is not None:
+        return OrderCertificate(SHELLING, c, tuple(facets[i] for i in descent))
+    if _closed_and_acyclic(c):
         return None
-    return _search(c, SHELLING, _shelling_moves)
+    return _search(c, SHELLING, partial(_shelling_moves, contain=contain))
 
 
 def find_weak_shelling_order(c: Complex) -> Optional[OrderCertificate]:

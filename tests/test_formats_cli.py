@@ -49,12 +49,12 @@ INPUT_ERRORS = [
 
 
 # every command that reads a complex: the arguments before its input, and after
-# (a path after --order would not be taken as check's input)
 READERS = [
     pytest.param(["dual"], [], id="dual"),
     pytest.param(["nonfaces"], [], id="nonfaces"),
     pytest.param(["flag"], [], id="flag"),
     pytest.param(["check", "shelling"], ["--order", "0"], id="check"),
+    pytest.param(["check", "shelling", "--order", "0"], [], id="check-path-after-order"),
     pytest.param(["find", "weak"], [], id="find"),
     pytest.param(["homology"], [], id="homology"),
     pytest.param(["cm"], [], id="cm"),
@@ -551,6 +551,22 @@ class TestCli:
         assert (code, out) == (EX_INPUT, "")
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert self.run(command + source + options, capsys) == (code, out, err)
+
+    def test_check_reads_a_path_after_the_order(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "path.json"
+        path.write_text('{"vertices":[1,2,3,4], "facets":[[1,2],[2,3],[3,4]]}')
+        for order, code in (("0,1,2", EX_OK), ("0,2,1", EX_FAIL), ("", EX_INPUT)):
+            expected = self.run(["check", "shelling", str(path), "--order", order], capsys)
+            assert expected[0] == code
+            assert self.run(["check", "shelling", "--order", order, str(path)], capsys) == expected
+            monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+            assert self.run(["check", "shelling", "--order", order, "-"], capsys) == expected
+        # a second path, or an unknown option, is still not accepted
+        for extra in ([str(path)], ["--bogus"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["check", "shelling", "--order", "0,1,2", str(path)] + extra)
+            assert exit_info.value.code == EX_INPUT
+            assert "unrecognized arguments: %s" % extra[0] in capsys.readouterr().err
 
     def test_loading_error_wins_over_a_bad_order(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")

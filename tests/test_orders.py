@@ -679,11 +679,10 @@ class TestShellingMasks:
         from shellcert import orders
         from shellcert.catalog import dunce_hat
 
-        real = orders._shelling_moves
         carried = []  # masks computed from a parent mask in the same layer
 
         def checked(facets, full):
-            moves = real(facets, full)
+            moves = orders._shelling_moves(facets, full)
 
             def wrapped(state, added, parent):
                 out = moves(state, added, parent)
@@ -695,7 +694,6 @@ class TestShellingMasks:
 
             return wrapped
 
-        monkeypatch.setattr(orders, "_shelling_moves", checked)
         graphs = [sc.from_facets(VertexSet.of(range(n)), combinations(range(n), 2))
                   for n in range(3, 13)]
         sample = seeded_complexes(50, seed=5150, n_range=(5, 9),
@@ -703,18 +701,101 @@ class TestShellingMasks:
         sample += seeded_complexes(50, seed=6174, n_range=(5, 9),
                                    accept=lambda c: not c.is_pure and len(c.facets) >= 4)
         cases = graphs + sample
+        # find_shelling_order answers most of these by its first descent, or the
+        # dunce hat by its root refutation, so drive the engine on every case
+        shelled = on_shellable = 0  # shellable cases, and the carried masks met on them
         for c in cases + [sc.alexander_dual(c) for c in cases + [dunce_hat()]]:
-            cert = sc.find_shelling_order(c)
+            before = len(carried)
+            cert = orders._search(c, orders.SHELLING, checked)
             if cert is not None:
                 assert sc.check_shelling_order(c, cert)
-        # find_shelling_order refutes the dunce hat before searching, so drive the engine
+                shelled += 1
+                on_shellable += len(carried) - before
+        assert shelled >= 150 and on_shellable > 1000
         before = len(carried)
-        assert orders._search(dunce_hat(), orders.SHELLING, orders._shelling_moves) is None
+        assert orders._search(dunce_hat(), orders.SHELLING, checked) is None
         assert len(carried) > before
         monkeypatch.setattr(orders, "NODE_BUDGET", 2000)
         with pytest.raises(sc.Undecided):
-            sc.find_shelling_order(cone_over_star_plus_triangle(21))
+            orders._search(cone_over_star_plus_triangle(21), orders.SHELLING, checked)
         assert len(carried) > 5000
+
+
+def skeleton_dual(n):
+    """The dual of the complete graph K_n: its facets are the complements of
+    the triangles on n vertices."""
+    return sc.alexander_dual(sc.from_facets(VertexSet.of(range(n)), combinations(range(n), 2)))
+
+
+class TestFirstDescent:
+    """``find_shelling_order`` walks the search's first path, the facets by
+    non-increasing size and in index order within a size, before the root
+    refutation and the search, and returns it when every step passes."""
+
+    @staticmethod
+    def descent(c):
+        from shellcert import orders
+        from shellcert.complexes import _incidence
+
+        return orders._first_descent(c.facets, _incidence(c.facets, c.universe.full_mask))
+
+    def test_a_passing_descent_is_what_the_search_returns(self, monkeypatch):
+        from shellcert import orders
+
+        monkeypatch.setattr(orders, "NODE_BUDGET", 2_000)  # on both sides
+        sample = seeded_complexes(200, seed=2606, n_range=(4, 10), accept=lambda c: c.is_pure)
+        sample += seeded_complexes(200, seed=6062, n_range=(4, 10), accept=lambda c: not c.is_pure)
+        cases = sample + [sc.alexander_dual(c) for c in sample]
+        cases += [skeleton_dual(n) for n in range(12, 21, 2)]
+        walked = rechecked = 0
+        fell_back = []  # the search's answers where the descent failed
+        for c in cases:
+            descent = self.descent(c)
+            try:
+                searched = orders._search(c, sc.SHELLING, orders._shelling_moves)
+            except sc.Undecided:
+                searched = sc.Undecided
+            if descent is not None:
+                walked += 1
+                order = tuple(c.facets[i] for i in descent)
+                assert searched.sequence == order, c.facet_members()
+                if len(order) <= 12:
+                    assert brute_shelling_failure(map(c.universe.members, order)) is None
+                    rechecked += 1
+            elif not misses_two(c) and searched is not sc.Undecided:
+                fell_back.append(searched)
+                assert sc.find_shelling_order(c) == searched, c.facet_members()
+        assert walked >= 550 and rechecked >= 500
+        # both answers occur after a failed descent: a later shelling, and none
+        assert sum(x is not None for x in fell_back) >= 30 and fell_back.count(None) >= 100
+
+    def test_the_k24_dual_needs_no_search_and_no_rank(self, monkeypatch):
+        from shellcert import orders
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        d = skeleton_dual(24)
+        monkeypatch.setattr(orders, "_search", refuse)
+        monkeypatch.setattr(orders, "_closed_and_acyclic", refuse)
+        cert = sc.find_shelling_order(d)
+        # the complex is pure, so its first descent is the facets in index order
+        assert len(d.facets) == 2024 and cert.sequence == d.facets
+
+    def test_a_failed_descent_falls_back_to_the_search(self, monkeypatch):
+        from shellcert import orders
+
+        # the path 1-2-5-4-3: its first descent puts the disjoint edge 34 second
+        c = cx(5, [{1, 2}, {3, 4}, {2, 5}, {4, 5}])
+        assert [sorted(F) for F in c.facet_members()] == [[1, 2], [3, 4], [2, 5], [4, 5]]
+        assert self.descent(c) is None
+        searches = []
+        real = orders._search
+        monkeypatch.setattr(orders, "_search", lambda *args: searches.append(args) or real(*args))
+        cert = sc.find_shelling_order(c)
+        assert len(searches) == 1
+        assert [sorted(F) for F in cert.members()] == [[1, 2], [2, 5], [4, 5], [3, 4]]
+        assert brute_shelling_failure(cert.members()) is None
 
 
 class TestAgainstEnumeration:
