@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import replace
 
 from . import catalog
 from .complexes import (
@@ -90,7 +91,8 @@ def _parse_order(spec: str, items) -> list:
     except ValueError:
         raise InputError("--order must be comma-separated integer positions")
     if sorted(idx) != list(range(len(items))):
-        raise InputError("--order must be a permutation of 0..%d" % (len(items) - 1))
+        raise InputError("--order must be a permutation of 0..%d" % (len(items) - 1) if items
+                         else "--order must be empty: there is nothing to order")
     return [items[i] for i in idx]
 
 
@@ -118,7 +120,10 @@ def cmd_check(c, args) -> int:
     if rep.ok:
         print("valid %s order" % kind)
         return EX_OK
-    print("invalid %s order: %r" % (kind, rep.witness))
+    witness = rep.witness
+    if kind == SHELLING:  # its faces are masks: print their labels
+        witness = replace(witness, intersection=tuple(map(c.universe.members, witness.intersection)))
+    print("invalid %s order: %r" % (kind, witness))
     return EX_FAIL
 
 

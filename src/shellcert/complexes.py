@@ -284,6 +284,10 @@ def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
     reported: the empty set, or a against the first non-face that contains
     it, the lowest bit of that AND.  Each non-face costs one AND per vertex,
     on masks with one bit per non-face, in place of a pass over the list.
+
+    The complex is the dual of the one whose facets are the complements of
+    the non-faces, since a complex is the dual of its dual; so its facets are
+    computed as every dual's are.
     """
     masks = [universe.as_mask(f) for f in nonfaces]
     if len(set(masks)) != len(masks):
@@ -304,9 +308,7 @@ def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
             )
     if any(m.bit_count() == 1 for m in masks):
         warnings.warn("singleton non-face: the resulting complex has a ghost vertex", stacklevel=2)
-    full = universe.full_mask
-    facets = [full ^ t for t in _minimal_transversals(masks)]
-    return Complex(universe, _canonical(facets))
+    return alexander_dual(Complex(universe, _canonical(universe.full_mask ^ a for a in masks)))
 
 
 def link(c: Complex, face) -> Complex:

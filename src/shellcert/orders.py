@@ -35,32 +35,11 @@ a restricted shelling whose first |S| facets are S again, so a state with no
 restricted completion has no completion at all.
 
 Within a layer the shelling condition rechecks only the facets whose answer
-can change.  A facet y may be appended when no placed facet contains W(y),
-the vertices v of y whose ridge y - v lies in a placed facet.  Let x be the
-facet just placed and y an unplaced facet of its size.  If x contains a
-ridge of y (R), the vertex of y outside x joins W(y), and x lacks it, so an
-admissible y stays admissible.  Otherwise, if y meets x (N), W(y) is
-unchanged and only x joins the placed facets, so an inadmissible y stays
-inadmissible.  Otherwise (D) nothing changes.  So only the inadmissible R
-facets and the admissible N facets are rechecked, and every mask equals a
-full recheck (``_shelling_moves`` gives the details).
-
-That step test is exact.  Write S for the placed facets.  If F meets S in a
-pure complex of dimension dim F - 1 and some G in S contains W(F), then
-F & G, a proper face of F, lies in a ridge F - v of that complex, which lies
-in a facet of S, so v is in W(F) although G misses it.  Conversely, if no
-facet of S contains W(F), each G in S misses some v in W(F), so F & G lies
-in the ridge F - v, which lies in a facet of S.
-
-Before any shelling search, ``find_shelling_order`` walks the search's
-*first descent* once: the facets by non-increasing size, in index order
-within a size, each appended after the step test.  At every state the search
-branches on the lowest-index admissible facet of the largest size left, and
-nothing is dead before its first backtrack, so when every step of the
-descent passes the search takes exactly those steps and returns that order;
-the walk returns it without building the search's tables.  A step costs
-O(|F|) mask operations, by prefix and suffix ANDs over F's vertices.  When a
-step fails, the root refutation and the search run as before.
+can change after each step; ``_shelling_moves`` states its step test, proves
+it exact and says which facets are rechecked.  Before any shelling search,
+``find_shelling_order`` walks the search's *first descent* once
+(``_first_descent``) and returns it when every step passes; its docstring
+says why that is the search's own answer.
 
 The weak condition adds two exact rules.  Write sigma(i, j) for the possible
 savers of a full-union pair, the facets k other than i, j with
@@ -74,31 +53,13 @@ F_i & F_j inside F_k.
   its placed partners are saved, and every later facet's prefix only gains x,
   while each pair {x, l} is already saved.
 
-Two kinds of complex are settled before any shelling search.  A pure
-complex of dimension d whose every ridge lies in at least two facets, and
-whose facets' boundary rows are independent over GF(2), has no shelling.
-The last facet of a shelling would meet its predecessors in its whole
-boundary, which makes it a homology facet (Bjorner-Wachs 1996, Lemma 2.6
-and Thm 4.1), so H~_d(c; Z) would be nonzero; a primitive integral d-cycle
-stays nonzero mod 2, so the rows would be dependent.  The dunce hat is
-refuted this way.
-
-The duals of flag complexes are decided without a search.  A complex whose
-every facet misses exactly two vertices is the Alexander dual of the flag
-complex whose graph G has those pairs as its non-edges, and it is shellable
-exactly when G is chordal (Froberg's theorem, in the form of Herzog, Hibi and
-Zheng, "Dirac's theorem on chordal graphs and Alexander duality", European J.
-Combin. 25 (2004)).  A chordless cycle of G refutes a shelling through the
-homology of one link.  A perfect elimination order of G gives one: sort the
-non-edges by the position of their earlier vertex, then of their later one,
-and complement each.  For non-edges e before f, the complement of f needs
-an earlier non-edge inside e | f that meets f in one vertex.  That is e
-when e meets f; otherwise the earlier vertex of e comes before both
-vertices of f, its later neighbours are pairwise adjacent and f is not an
-edge, so it forms a non-edge with one of them, which comes before f
-(``find_shelling_order`` has both proofs in full).  G is read off the
-facets' complements, never by dualising the complex, whose dual has G's
-maximal cliques as its facets.
+Two kinds of complex are settled before any shelling search, with the
+proofs in ``find_shelling_order``: a pure complex with no free ridge and no
+top GF(2) cycle has none (the dunce hat is refuted this way), and a complex
+whose every facet misses exactly two vertices, the dual of a flag complex,
+is answered from the chordality of its graph (Froberg's theorem, in the form
+of Herzog, Hibi and Zheng, "Dirac's theorem on chordal graphs and Alexander
+duality", European J. Combin. 25 (2004)).
 
 Strong gcd-orders are decided through the dual complex: an order of the
 minimal non-faces is a strong gcd-order exactly when the reversed complement
@@ -109,8 +70,6 @@ prefix-closed while the gcd condition is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from math import comb
 from typing import Optional, Sequence, Union
 
 from .complexes import (
@@ -323,7 +282,7 @@ def _search_order(r: int, moves):
     return [bit.bit_length() - 1 for bit in placed]
 
 
-def _first_descent(facets: Sequence[int], contain: Sequence[int]) -> Optional[list]:
+def _first_descent(facets: Sequence[int], full: int) -> Optional[list]:
     """The shelling search's first path, or None when a step of it fails.
 
     The facets are taken by non-increasing size, in index order within a
@@ -332,35 +291,42 @@ def _first_descent(facets: Sequence[int], contain: Sequence[int]) -> Optional[li
     ``_shelling_moves``).  The facets of S containing F - v_i are
     pre[i] & suf[i + 1], prefix and suffix ANDs of the incidence masks of
     F's vertices that start from S, so a step costs O(|F|) mask operations.
+    The first step passes by this test too: with S empty, nothing blocks.
     """
+    contain = _incidence(facets, full)
     order = sorted(range(len(facets)), key=lambda i: -facets[i].bit_count())
     state = 0
     for i in order:
-        if state:
-            rows = [contain[v] for v in _bit_indices(facets[i])]
-            suf = [state]
-            for cv in reversed(rows):
-                suf.append(suf[-1] & cv)
-            suf.reverse()
-            pre = block = state
-            for k, cv in enumerate(rows):
-                if pre & suf[k + 1]:
-                    block &= cv
-                pre &= cv
-            if block:
-                return None
+        rows = [contain[v] for v in _bit_indices(facets[i])]
+        suf = [state]
+        for cv in reversed(rows):
+            suf.append(suf[-1] & cv)
+        suf.reverse()
+        pre = block = state
+        for k, cv in enumerate(rows):
+            if pre & suf[k + 1]:
+                block &= cv
+            pre &= cv
+        if block:
+            return None
         state |= 1 << i
     return order
 
 
-def _shelling_moves(facets: Sequence[int], full: int, contain: Optional[list] = None):
+def _shelling_moves(facets: Sequence[int], full: int):
     """The shelling condition as a moves function for ``_search_order``.
 
     Appending F after a nonempty prefix-set S is allowed iff every maximal
     old-new intersection is a ridge of F.  Let W be the vertices v of F whose
     ridge F \\ {v} lies in a placed facet; then the condition says no placed
-    facet contains all of W.  With single[f][v] the facets containing
-    F \\ {v} but not v, both tests are a few word operations per vertex.
+    facet contains all of W.  That step test is exact.  If F meets S in a
+    pure complex of dimension dim F - 1 and some G in S contains W, then
+    F & G, a proper face of F, lies in a ridge F - v of that complex, which
+    lies in a facet of S, so v is in W although G misses it.  Conversely, if
+    no facet of S contains W, each G in S misses some v in W, so F & G lies
+    in the ridge F - v, which lies in a facet of S.  With single[f][v] the
+    facets containing F \\ {v} but not v, both tests are a few word
+    operations per vertex.
 
     Only the unplaced facets of the largest size left are branched on, the
     current *layer* (facets are indexed by increasing size, so it is the
@@ -379,13 +345,11 @@ def _shelling_moves(facets: Sequence[int], full: int, contain: Optional[list] = 
     R facets and the admissible N facets are rechecked; every mask equals a
     full recheck of the layer.  At the first two states (``state ==
     added``, 0 at the root) and when x's layer has just run out, every
-    unplaced facet of the current layer is checked.  ``contain`` takes the
-    facets' incidence masks when the caller has built them already.
+    unplaced facet of the current layer is checked.
     """
     r = len(facets)
     goal = (1 << r) - 1
-    if contain is None:
-        contain = _incidence(facets, full)
+    contain = _incidence(facets, full)
     by_size: dict[int, int] = {}
     for i, F in enumerate(facets):
         by_size[F.bit_count()] = by_size.get(F.bit_count(), 0) | 1 << i
@@ -485,17 +449,11 @@ def _closed_and_acyclic(c: Complex) -> bool:
     facets, and the facets' boundary rows are independent over GF(2).
 
     Such a complex has no shelling (see ``find_shelling_order``).  The gates
-    run cheapest first: purity; at most C(|support|, dim) facets, since
-    independent rows need at least as many distinct ridges; a ridge in one
-    facet only; and last the rank.
+    run cheapest first: purity, a ridge in one facet only, and last the
+    rank.  The complex {empty set} gives one zero row, of rank 0.
     """
     facets = c.facets
-    if not facets:
-        return False
-    size = facets[0].bit_count()
-    if not size or facets[-1].bit_count() != size:
-        return False
-    if len(facets) > comb(c.support.bit_count(), size - 1):
+    if not facets or facets[0].bit_count() != facets[-1].bit_count():  # void, or not pure
         return False
     column: dict[int, int] = {}  # ridge -> its column
     once = twice = 0  # the columns met in at least one facet, in at least two
@@ -544,7 +502,7 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     places each facet once and does not count against ``NODE_BUDGET``.  When
     a step fails, the refutation and the search run.
 
-    Before any search, a pure complex of dimension d >= 0 whose every ridge
+    Before any search, a pure complex of dimension d whose every ridge
     lies in two facets and whose facets' boundary rows are independent over
     GF(2) returns None.  Proof: in a shelling, every ridge of the last facet
     F lies in an earlier facet, so F meets the earlier ones in its whole
@@ -593,13 +551,12 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
         nonedges = sorted(nonedges, key=lambda e: sorted((pos[e & -e], pos[e & e - 1])))
         return OrderCertificate(SHELLING, c, tuple(full ^ e for e in nonedges))
     facets = c.facets
-    contain = _incidence(facets, full)
-    descent = _first_descent(facets, contain)
+    descent = _first_descent(facets, full)
     if descent is not None:
         return OrderCertificate(SHELLING, c, tuple(facets[i] for i in descent))
     if _closed_and_acyclic(c):
         return None
-    return _search(c, SHELLING, partial(_shelling_moves, contain=contain))
+    return _search(c, SHELLING, _shelling_moves)
 
 
 def find_weak_shelling_order(c: Complex) -> Optional[OrderCertificate]:

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +41,10 @@ INPUT_ERRORS = [
                  "characteristic must be prime, got 4", id="field-gf(4)"),
     pytest.param(["check", "shelling", "--fixture", "pentagon", "--order", "0,1,x"], None,
                  "--order must be comma-separated integer positions", id="order-not-integers"),
+    pytest.param(["check", "sgcd", "--order", "0"], '{"vertices": [1,2,3], "facets": [[1,2,3]]}',
+                 "--order must be empty: there is nothing to order", id="order-of-no-nonfaces"),
+    pytest.param(["check", "shelling", "--order", "0"], '{"vertices": [1,2,3], "facets": []}',
+                 "--order must be empty: there is nothing to order", id="order-of-no-facets"),
     pytest.param(["dual"], '{"vertices": [1,2], "nonfaces": [[1,2],[1,2]]}',
                  "duplicate non-faces", id="nonfaces-duplicate"),
     pytest.param(["dual"], '{"vertices": [1,2], "nonfaces": [[]]}',
@@ -255,10 +259,17 @@ class TestCli:
         path.write_text('{"vertices":[1,2,3,4], "facets":[[1,2,3],[2,3,4]]}')
         code, out, _ = self.run(["check", "shelling", str(path), "--order", "0,1"], capsys)
         assert code == 0 and "valid" in out
-        path2 = tmp_path / "d.json"
-        path2.write_text('{"vertices":[1,2,3,4], "facets":[[1,2],[3,4]]}')
+        # a shelling witness prints its faces as labels: ab and cd meet in the
+        # empty face, whose mask 0 would read as vertex a
+        path2 = tmp_path / "d.txt"
+        path2.write_text("vertices: a b c d e\na b\nc d\nb c\nd e\n")
+        code, out, _ = self.run(["check", "shelling", str(path2), "--order", "0,2,1,3"], capsys)
+        assert (code, out) == (EX_FAIL, "invalid shelling order: "
+                               "StepWitness(step=1, intersection=((),), required_dim=0)\n")
+        path2.write_text("vertices: a b c d e\na b c\nc d e\n")
         code, out, _ = self.run(["check", "shelling", str(path2), "--order", "0,1"], capsys)
-        assert code == 1 and "invalid" in out
+        assert (code, out) == (EX_FAIL, "invalid shelling order: "
+                               "StepWitness(step=1, intersection=(('c',),), required_dim=1)\n")
 
     def test_check_bad_order_is_input_error(self, capsys):
         code, _, err = self.run(
@@ -607,6 +618,17 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# one fresh file name per fuzzed document: rewriting one file costs far more than a new one
+_FUZZ_NAMES = count()
+
+
+def fuzz_path(fuzz_dir, doc):
+    """A new file in fuzz_dir holding doc."""
+    path = fuzz_dir / ("doc%d" % next(_FUZZ_NAMES))
+    path.write_text(doc, encoding="utf-8")
+    return path
+
+
 def run_quietly(argv):
     """(exit code, stdout, stderr) of one CLI run, outside pytest's capture."""
     out, err = io.StringIO(), io.StringIO()
@@ -647,8 +669,7 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(DOCUMENTS)
     def test_dual_exits_ok_or_input_error(self, fuzz_dir, doc):
-        path = fuzz_dir / "doc"
-        path.write_text(doc, encoding="utf-8")
+        path = fuzz_path(fuzz_dir, doc)
         code, _, err = run_quietly(["dual", str(path)])
         assert code in (0, EX_INPUT), err
 
@@ -656,8 +677,7 @@ class TestFuzz:
     @given(DOCUMENTS)
     def test_nonfaces_cm_and_scm_answer_or_reject(self, fuzz_dir, doc):
         # a ghosted document gets an answer too; only a malformed or void one exits 2
-        path = fuzz_dir / "doc"
-        path.write_text(doc, encoding="utf-8")
+        path = fuzz_path(fuzz_dir, doc)
         for argv in (["nonfaces", str(path)], ["cm", str(path)], ["scm", str(path)]):
             code, _, err = run_quietly(argv)
             assert code in (EX_OK, EX_FAIL, EX_INPUT), (argv, err)
@@ -666,8 +686,7 @@ class TestFuzz:
     @settings(max_examples=100, deadline=None)
     @given(DOCUMENTS)
     def test_find_and_table_never_exit_internal_error(self, fuzz_dir, doc):
-        path = fuzz_dir / "doc"
-        path.write_text(doc, encoding="utf-8")
+        path = fuzz_path(fuzz_dir, doc)
         for argv in (["find", "weak", str(path)], ["table", str(path)]):
             code, _, err = run_quietly(argv)
             assert code in (EX_OK, EX_FAIL, EX_INPUT, EX_UNDECIDED), (argv, err)
@@ -676,8 +695,7 @@ class TestFuzz:
     @given(DOCUMENTS)
     def test_searches_at_a_budget_of_one_state_never_exit_internal_error(self, fuzz_dir, doc):
         # patched in the body: Hypothesis rejects function-scoped fixtures such as monkeypatch
-        path = fuzz_dir / "doc"
-        path.write_text(doc, encoding="utf-8")
+        path = fuzz_path(fuzz_dir, doc)
         with mock.patch.object(orders, "NODE_BUDGET", 1):
             for argv in SEARCHERS:
                 run_searcher(argv + [str(path)])

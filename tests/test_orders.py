@@ -735,9 +735,8 @@ class TestFirstDescent:
     @staticmethod
     def descent(c):
         from shellcert import orders
-        from shellcert.complexes import _incidence
 
-        return orders._first_descent(c.facets, _incidence(c.facets, c.universe.full_mask))
+        return orders._first_descent(c.facets, c.universe.full_mask)
 
     def test_a_passing_descent_is_what_the_search_returns(self, monkeypatch):
         from shellcert import orders
