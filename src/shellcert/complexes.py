@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "VOID_DIM",
@@ -146,6 +146,44 @@ def _incidence(sets: Sequence[int], full: int) -> list:
         for v in _bit_indices(F):
             contain[v] |= 1 << i
     return contain
+
+
+def _first_descent(facets: Sequence[int], full: int) -> Optional[list]:
+    """The facets by non-increasing size, in index order within a size, as
+    a list of indices when that order is a shelling; None when a step fails.
+
+    This is the first path of the shelling search in ``orders``, whose
+    ``find_shelling_order`` returns it when it passes, and the shelling
+    certificate of ``homology``'s CM and sequential-CM tests.  A step is the
+    exact step test of ``orders._shelling_moves``: F may follow the placed
+    set S when no facet of S contains W, the vertices v of F whose ridge
+    F - v lies in a facet of S.  The facets of S containing F - v_i are
+    pre[i] & suf[i + 1], prefix and suffix ANDs of the incidence masks of
+    F's vertices that start from S, so a step costs O(|F|) mask operations
+    and the walk of r facets O(r |F|).  The first step passes by this test too: with S
+    empty, nothing blocks.  A passing order is a shelling in the nonpure
+    sense of Bjorner-Wachs ("Shellable nonpure complexes and posets I",
+    Trans. AMS 348 (1996), Def. 2.1), and in the classical sense when the
+    facets all have one size.
+    """
+    contain = _incidence(facets, full)
+    order = sorted(range(len(facets)), key=lambda i: -facets[i].bit_count())
+    state = 0
+    for i in order:
+        rows = [contain[v] for v in _bit_indices(facets[i])]
+        suf = [state]
+        for cv in reversed(rows):
+            suf.append(suf[-1] & cv)
+        suf.reverse()
+        pre = block = state
+        for k, cv in enumerate(rows):
+            if pre & suf[k + 1]:
+                block &= cv
+            pre &= cv
+        if block:
+            return None
+        state |= 1 << i
+    return order
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,23 @@ Boundary signs come from vertex positions in ascending index order; any
 consistent convention gives the same ranks, fixing one makes the matrices
 reproducible.
 
+A shelling certifies both link tests before any sweep, over every field.
+``is_sequentially_cm`` walks the shelling search's first descent
+(``complexes._first_descent``: the facets by non-increasing size, one exact
+step test each), and ``is_cohen_macaulay`` does so for a pure complex; when
+every step passes, the complex passes with no face listed.  Proof: a pure
+shellable complex of dimension d has the homotopy type of a wedge of
+d-spheres (Bjorner-Wachs, "Shellable nonpure complexes and posets I", Trans.
+AMS 348 (1996), Thm 4.1), and the link of a face of a shellable complex is
+shellable (ibid., Prop. 10.14), so every link has homology in its top degree
+only, which is Reisner's criterion for Cohen-Macaulayness over every field.
+A complex is shellable iff each of its pure i-skeleta is (ibid., Thm 2.9),
+so each skeleton is Cohen-Macaulay and the complex is sequentially
+Cohen-Macaulay by Duval's criterion below (Stanley, Combinatorics and
+Commutative Algebra, 2nd ed. (1996), III.2.10).  A Cohen-Macaulay complex is
+pure, so ``is_cohen_macaulay`` walks no nonpure descent.  A failing step
+proves nothing and the sweep runs as before; no descent is kept.
+
 The link sweeps build no ``Complex`` per link or per skeleton, and list the
 faces of a complex once per sweep.  The costar of a face s is the list of
 faces t containing s, grouped by |t| - |s|; the link of s has the faces
@@ -51,6 +68,13 @@ triangle is), so the rule is applied only to pure sweeps: every skeleton of
 ``is_sequentially_cm``, and ``is_cohen_macaulay`` of a pure complex.  A
 cone link still keeps its costar, since the links below it need not be
 cones.
+
+A link of dimension 1 is a graph.  Its only degrees below 1 are -1, where
+its rank is 0 since it has a vertex, and 0, where over every field the rank
+is one less than its number of connected components.  So after the cone
+rule it is decided by a bitmask flood fill over the vertex and edge layers
+of its costar, with no elimination; a disconnected link gives the witness
+(face, 0, components - 1) that the ranks give.
 
 The pure i-skeleton D^[i] is generated by the (i+1)-element faces of D, which
 ``is_sequentially_cm`` takes from its one face list of D; D is sequentially
@@ -91,7 +115,7 @@ from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
-from .complexes import Complex, InputError, VertexSet, _faces_by_size
+from .complexes import Complex, InputError, VertexSet, _faces_by_size, _first_descent
 
 __all__ = [
     "Field",
@@ -362,6 +386,36 @@ class CMReport:
         return self.ok
 
 
+def _components(sigma: int, vertices: Sequence[int], edges: Sequence[int]) -> int:
+    """Connected components of the graph on the faces ``vertices`` and
+    ``edges`` with sigma taken out of each, by a bitmask flood fill: each
+    round adds the neighbours of the front to the component."""
+    adj: dict[int, int] = {}
+    for t in edges:
+        e = t ^ sigma
+        a = e & -e
+        b = e ^ a
+        adj[a] = adj.get(a, 0) | b
+        adj[b] = adj.get(b, 0) | a
+    left = 0
+    for t in vertices:
+        left |= t
+    left &= ~sigma
+    count = 0
+    while left:
+        count += 1
+        front = left & -left
+        while front:
+            left &= ~front
+            reach = 0
+            while front:
+                low = front & -front
+                front ^= low
+                reach |= adj.get(low, 0)
+            front = reach & left
+    return count
+
+
 def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                 field: Field, pure: bool) -> Optional[CMWitness]:
     """First face (canonical order) of the complex with the given faces (grouped
@@ -379,8 +433,10 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
     keeps none.  When ``pure`` says the complex is pure, a link whose facets,
     the top layer of the costar, share a vertex outside the face is a cone
     and passes without elimination; its costar is kept first, so the faces
-    below it are still swept.  Every other link costs one ``_reduced_ranks``
-    call over the sweep's field.
+    below it are still swept.  Any other link of dimension 1 is a graph,
+    Cohen-Macaulay iff connected (module docstring), and ``_components``
+    counts its components with no elimination.  Every other link costs one
+    ``_reduced_ranks`` call over the sweep's field.
     """
     kept = {0: faces}
     for layer in faces:
@@ -405,6 +461,11 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                     apex &= t
                 if apex & ~sigma:  # the link is a cone
                     continue
+            if d == 1:
+                k = _components(sigma, costar[1], costar[2])
+                if k > 1:
+                    return CMWitness(universe.members(sigma), 0, k - 1)
+                continue
             lk = [[t ^ sigma for t in ts] for ts in costar]
             for i, r in _reduced_ranks(lk, field):
                 if i < d and r:
@@ -417,34 +478,49 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
 
 def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     """Link-vanishing test: every face's link (the empty face included) must
-    have zero reduced homology below its own dimension.
+    have zero reduced homology below its own dimension (Reisner,
+    "Cohen-Macaulay quotients of polynomial rings", Adv. Math. 21 (1976)).
 
-    Only faces are swept, and a ghost vertex lies in no face, so it plays no
-    part: the report equals that of ``restrict_to_support(c)``, whose
-    relabelling keeps the order of the faces and so the first failing one.
+    A pure complex whose shelling search's first descent passes is a pure
+    shellable complex, Cohen-Macaulay over every field (Bjorner-Wachs 1996,
+    Thm 4.1 and Prop. 10.14; module docstring), and passes with no sweep.
+    Otherwise the links are swept (``_cm_witness``).  Only faces are swept,
+    and a ghost vertex lies in no face, so it plays no part: the report
+    equals that of ``restrict_to_support(c)``, whose relabelling keeps the
+    order of the faces and so the first failing one.
     """
     if c.is_void:
         raise InputError("Cohen-Macaulayness of the void complex is undefined")
+    if c.is_pure and _first_descent(c.facets, c.universe.full_mask) is not None:
+        return CMReport(True, field)
     w = _cm_witness(c.universe, _faces_by_size(c.facets), field, c.is_pure)
     return CMReport(w is None, field, witness=w)
 
 
 def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     """Pure-skeleton reduction: the subcomplex generated by the i-faces must be
-    Cohen-Macaulay for every 0 <= i <= dim.
+    Cohen-Macaulay for every 0 <= i <= dim (Duval, Electron. J. Combin. 3
+    (1996), Thm 3.3).
 
-    The top skeleton is checked first; it is the cheapest way to fail.  The
-    (i+1)-element faces of c are the facets of skeleton i, whose faces are
-    listed once and swept by costars (see the module docstring).  Once the
-    top skeleton passes, a skeleton whose i-faces all lie in top facets is
-    the i-skeleton of a Cohen-Macaulay complex, so it is Cohen-Macaulay and
-    not swept; a pure complex costs one sweep, as in ``is_cohen_macaulay``.
-    Only faces are swept, so vertices a skeleton leaves unused (a vertex
-    facet is in no pure 1-skeleton) play no part, and neither does a ghost
-    vertex of c: the report equals that of ``restrict_to_support(c)``.
+    A complex whose shelling search's first descent passes is shellable in
+    the nonpure sense, so sequentially Cohen-Macaulay over every field
+    (Bjorner-Wachs 1996, Thm 2.9; Stanley, Combinatorics and Commutative
+    Algebra, III.2.10; module docstring), and passes before any face is
+    listed.  Otherwise the skeleta are swept, the top one first: it is the
+    cheapest way to fail.  The (i+1)-element faces of c are the facets of
+    skeleton i, whose faces are listed once and swept by costars (see the
+    module docstring).  Once the top skeleton passes, a skeleton whose
+    i-faces all lie in top facets is the i-skeleton of a Cohen-Macaulay
+    complex, so it is Cohen-Macaulay and not swept; a pure complex costs one
+    sweep, as in ``is_cohen_macaulay``.  Only faces are swept, so vertices a
+    skeleton leaves unused (a vertex facet is in no pure 1-skeleton) play no
+    part, and neither does a ghost vertex of c: the report equals that of
+    ``restrict_to_support(c)``.
     """
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")
+    if _first_descent(c.facets, c.universe.full_mask) is not None:
+        return CMReport(True, field)
     layers = _faces_by_size(c.facets)
     top = c.dim
     top_faces = layers if c.is_pure else _faces_by_size(layers[top + 1])

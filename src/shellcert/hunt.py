@@ -97,11 +97,19 @@ def hunt_counterexample(seed: int, budget: int) -> HuntReport:
     its support; the random complexes take 5, 6, 7 and 8 vertices in turn.
     Every complex in the search space arises this way.  Many samples are
     discarded before screening.  ``random_complex`` can return
-    the full simplex, whose dual is void (``degenerate``).  A random complex
-    with a facet missing one vertex has a dual with that vertex as a ghost;
-    restricted to its support, the dual then has a facet missing at most one
-    vertex (``oversized-facet``).  At seed 1 with budget 500, 174 samples end
-    in ``degenerate`` and 157 in ``oversized-facet``.  Hits are reported
+    the full simplex, whose dual is void (``degenerate``).  Every
+    ``oversized-facet`` sample comes from a random complex r (restricted to
+    its support, on V) with a facet missing one vertex.  Proof: a dual facet
+    is the complement of a minimal non-face of r, which has at least two
+    vertices, since every vertex of r and the empty set are faces.  So the
+    dual restricted to its support S has a facet missing at most one vertex
+    of S only when S is not V, that is when some v lies in no dual face;
+    then V - v is a face of r, and a facet since r is not the simplex.  The
+    converse fails: the restricted dual of <123, 14, 24, 34> is three
+    points, trivially weakly shellable, and at seed 1 with budget 500, 42 of
+    the 201 samples with such a facet end in ``weak-order-found`` and 2 in
+    ``trivially-weakly-shellable``.  At that seed 174 samples end in
+    ``degenerate`` and 157 in ``oversized-facet``.  Hits are reported
     sorted by their canonical JSON encoding so the output does not depend on
     sampling order.  A negative budget is an ``InputError``.
     """

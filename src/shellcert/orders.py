@@ -38,8 +38,9 @@ Within a layer the shelling condition rechecks only the facets whose answer
 can change after each step; ``_shelling_moves`` states its step test, proves
 it exact and says which facets are rechecked.  Before any shelling search,
 ``find_shelling_order`` walks the search's *first descent* once
-(``_first_descent``) and returns it when every step passes; its docstring
-says why that is the search's own answer.
+(``complexes._first_descent``, which the CM tests of ``homology`` share)
+and returns it when every step passes; its docstring says why that is the
+search's own answer.
 
 The weak condition adds two exact rules.  Write sigma(i, j) for the possible
 savers of a full-union pair, the facets k other than i, j with
@@ -78,6 +79,7 @@ from .complexes import (
     Undecided,
     _bit_indices,
     _canonical,
+    _first_descent,
     _incidence,
     _maximal,
     alexander_dual,
@@ -280,37 +282,6 @@ def _search_order(r: int, moves):
             state ^= placed.pop()
             mask = given[-1]
     return [bit.bit_length() - 1 for bit in placed]
-
-
-def _first_descent(facets: Sequence[int], full: int) -> Optional[list]:
-    """The shelling search's first path, or None when a step of it fails.
-
-    The facets are taken by non-increasing size, in index order within a
-    size.  F may follow the placed set S when no facet of S contains W, the
-    vertices v of F whose ridge F - v lies in a facet of S (the step test of
-    ``_shelling_moves``).  The facets of S containing F - v_i are
-    pre[i] & suf[i + 1], prefix and suffix ANDs of the incidence masks of
-    F's vertices that start from S, so a step costs O(|F|) mask operations.
-    The first step passes by this test too: with S empty, nothing blocks.
-    """
-    contain = _incidence(facets, full)
-    order = sorted(range(len(facets)), key=lambda i: -facets[i].bit_count())
-    state = 0
-    for i in order:
-        rows = [contain[v] for v in _bit_indices(facets[i])]
-        suf = [state]
-        for cv in reversed(rows):
-            suf.append(suf[-1] & cv)
-        suf.reverse()
-        pre = block = state
-        for k, cv in enumerate(rows):
-            if pre & suf[k + 1]:
-                block &= cv
-            pre &= cv
-        if block:
-            return None
-        state |= 1 << i
-    return order
 
 
 def _shelling_moves(facets: Sequence[int], full: int):

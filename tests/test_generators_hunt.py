@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -27,6 +28,30 @@ def scm_fields(monkeypatch):
 
     monkeypatch.setattr(hunt, "is_sequentially_cm", counting)
     return calls
+
+
+def has_facet_missing_one_vertex(c):
+    return any(f.bit_count() == c.universe.n - 1 for f in c.facets)
+
+
+def sampled_stages(monkeypatch, seed, budget):
+    """(random complex restricted to its support, stage) for each hunt sample."""
+    drawn, out = [], []
+    draw, screen = hunt.random_complex, hunt.screen_candidate
+
+    def recording_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def recording_screen(c):
+        stage = screen(c)
+        out.append((sc.restrict_to_support(drawn[-1]), stage))
+        return stage
+
+    monkeypatch.setattr(hunt, "random_complex", recording_draw)
+    monkeypatch.setattr(hunt, "screen_candidate", recording_screen)
+    assert hunt_counterexample(seed, budget).sampled == len(out) == budget
+    return out
 
 
 class TestGenerators:
@@ -143,6 +168,25 @@ class TestHunt:
         # counts in STAGES order; seed 1 is the docstring's 174 degenerate, 157 oversized
         report = hunt_counterexample(seed, budget)
         assert tuple(report.counts[s] for s in STAGES) == counts
+
+    @pytest.mark.parametrize("seed, budget", [(1, 500), (3, 200), (4, 200), (6, 200), (7, 200)])
+    def test_every_oversized_facet_sample_has_a_facet_missing_one_vertex(self, monkeypatch,
+                                                                        seed, budget):
+        samples = sampled_stages(monkeypatch, seed, budget)
+        oversized = [r for r, stage in samples if stage == "oversized-facet"]
+        assert oversized and all(has_facet_missing_one_vertex(r) for r in oversized)
+        if seed == 1:
+            # the docstring's figures: the converse fails on 44 of 201 samples
+            ends = Counter(stage for r, stage in samples if has_facet_missing_one_vertex(r))
+            assert ends == {"oversized-facet": 157, "weak-order-found": 42,
+                            "trivially-weakly-shellable": 2}
+
+    def test_a_facet_missing_one_vertex_need_not_give_an_oversized_facet(self):
+        r = sc.from_facets(sc.VertexSet.of(range(1, 5)), [{1, 2, 3}, {1, 4}, {2, 4}, {3, 4}])
+        assert has_facet_missing_one_vertex(r)
+        dual = sc.alexander_dual(r)
+        assert sc.restrict_to_support(dual).facet_members() == [(1,), (2,), (3,)]
+        assert screen_candidate(dual) == "trivially-weakly-shellable"
 
     def test_negative_budget_rejected(self):
         with pytest.raises(sc.InputError):

@@ -7,7 +7,7 @@ import pytest
 import shellcert as sc
 from shellcert import homology
 from shellcert.catalog import FIXTURES, dunce_hat, gcd_violator, pentagon_circle, projective_plane
-from shellcert.complexes import VertexSet, _faces_by_size
+from shellcert.complexes import VertexSet, _faces_by_size, _first_descent
 from shellcert.homology import rank_gf2, rank_sparse
 
 from conftest import facet_sets, seeded_complexes, seeded_flag_complexes
@@ -301,6 +301,19 @@ def triangle_and_edge():
     return sc.from_facets(VertexSet.of(range(5)), [{0, 1, 2}, {3, 4}])
 
 
+def descends(c):
+    """The shelling search's first descent of c, or None when a step fails."""
+    return _first_descent(c.facets, c.universe.full_mask)
+
+
+def dunce_hat_and_chord():
+    """The dunce hat plus an edge between two of its vertices that is not one
+    of its edges: sequentially CM with no shelling, and its pure 1-skeleton
+    does not lie in the top skeleton."""
+    d = dunce_hat()
+    return sc.from_facets(d.universe, [set(f) for f in d.facet_members()] + [{2, 6}])
+
+
 def q_sweep_inputs():
     # in the triangle chain both vertex 3 and vertex 5 have disconnected links;
     # the witness must be the first in canonical order
@@ -481,15 +494,20 @@ class TestCostarSweep:
         return calls
 
     def test_cohen_macaulay_lists_faces_once(self, monkeypatch):
-        [c] = seeded_complexes(1, seed=88, n_range=(8, 8), density=(0.5, 0.8),
-                               accept=lambda c: (not c.has_ghost_vertices and c.dim >= 2
-                                                 and len(c.facets) >= 4
-                                                 and sc.is_cohen_macaulay(c, sc.GF2).ok))
+        def seeded(descent_passes):
+            return seeded_complexes(1, seed=88, n_range=(7, 7), density=(0.5, 0.8),
+                                    accept=lambda c: (not c.has_ghost_vertices and c.dim >= 2
+                                                      and len(c.facets) >= 4
+                                                      and (descends(c) is not None) == descent_passes
+                                                      and sc.is_cohen_macaulay(c, sc.GF2).ok))
+        # inputs whose first descent fails reach the sweep; a passing one lists no face
+        inputs = ((dunce_hat(), 1), (seeded(False)[0], 1), (seeded(True)[0], 0))
         calls = self.counting(monkeypatch, "_faces_by_size")
-        for f, _ in ORACLE_FIELDS:
-            calls.clear()
-            assert sc.is_cohen_macaulay(c, f).ok
-            assert len(calls) == 1
+        for c, lists in inputs:
+            for f, _ in ORACLE_FIELDS:
+                calls.clear()
+                assert sc.is_cohen_macaulay(c, f).ok
+                assert len(calls) == lists
 
     def test_pure_cohen_macaulay_input_is_swept_once(self, monkeypatch):
         [shellable] = seeded_complexes(1, seed=4242, n_range=(5, 7),
@@ -501,7 +519,9 @@ class TestCostarSweep:
         # a disk plus an edge outside it: skeleton 0 lies in the top, skeleton 1 does not
         disk_and_edge = cx(4, [{1, 2, 3}, {2, 3, 4}, {1, 4}])
         calls = self.counting(monkeypatch, "_cm_witness")
-        for c, sweeps in ((dunce_hat(), 1), (skeleton, 1), (shellable, 1), (disk_and_edge, 2)):
+        # the shellable inputs pass on their first descent, with no sweep
+        certified = [(c, 0) for c in (skeleton, shellable, disk_and_edge)]
+        for c, sweeps in [(dunce_hat(), 1), (dunce_hat_and_chord(), 2)] + certified:
             for f, _ in ORACLE_FIELDS:
                 calls.clear()
                 assert sc.is_sequentially_cm(c, f).ok
@@ -571,6 +591,100 @@ class TestConeLinks:
                 assert len(calls) < every_link
                 # one call per link, over the sweep's own field for every field
                 assert [field for _, field in calls] == [f] * len(calls)
+
+
+def kn_skeleton_dual(n):
+    """The Alexander dual of the complete graph K_n, whose minimal non-faces
+    are the triangles."""
+    return sc.alexander_dual(sc.from_facets(VertexSet.of(range(n)),
+                                            [set(e) for e in itertools.combinations(range(n), 2)]))
+
+
+class TestShellingCertificate:
+    """A passing first descent is a shelling, so both link tests pass with no
+    sweep, over every field."""
+
+    def test_shellable_inputs_pass_without_a_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept a complex whose first descent passes")
+
+        monkeypatch.setattr(homology, "_cm_witness", no_sweep)
+        simplex = cx(6, [set(range(1, 7))])
+        inputs = [kn_skeleton_dual(12), kn_skeleton_dual(14), pentagon_circle()]
+        inputs += [sc.pure_skeleton(simplex, i) for i in range(6)]
+        for c in inputs:
+            for f, _ in ORACLE_FIELDS:
+                assert sc.is_cohen_macaulay(c, f) == sc.CMReport(True, f)
+                assert sc.is_sequentially_cm(c, f) == sc.CMReport(True, f)
+
+    def test_nonpure_descent_certifies_only_sequential_cm(self):
+        # these shell, but a Cohen-Macaulay complex is pure
+        for c in (cx(4, [{1, 2, 3}, {2, 3, 4}, {1, 4}]), cx(4, [{1, 2, 3}, {4}])):
+            assert not c.is_pure and descends(c) is not None
+            for f, p in ORACLE_FIELDS:
+                assert sc.is_sequentially_cm(c, f).ok
+                w = sc.is_cohen_macaulay(c, f).witness
+                assert (w.face, w.degree, w.rank) == oracle_cm_witness(c, p)
+
+    def test_a_passing_descent_leaves_no_failing_skeleton(self):
+        # the theorem on data, with the brute-force oracle only
+        sample = seeded_complexes(300, seed=5151, n_range=(3, 6),
+                                  accept=lambda c: not c.is_void and descends(c) is not None)
+        assert sum(not c.is_pure for c in sample) >= 50
+        assert sum(c.dim >= 2 for c in sample) >= 200
+        for c in sample:
+            for i in range(c.dim + 1):
+                skeleton = sc.restrict_to_support(sc.pure_skeleton(c, i))
+                for _, p in ORACLE_FIELDS:
+                    assert oracle_cm_witness(skeleton, p) is None
+
+
+def graph_link_components(c):
+    """Component counts of the links of dimension 1, from ``link`` and the
+    link's facets by a union of overlapping sets."""
+    counts = []
+    for sigma in sc.all_faces(c):
+        lk = sc.link(c, sigma)
+        if lk.is_void or lk.dim != 1:
+            continue
+        parts = []
+        for f in facet_sets(lk):
+            touching = [q for q in parts if q & f]
+            parts = [q for q in parts if not q & f] + [frozenset(f).union(*touching)]
+        counts.append(len(parts))
+    return counts
+
+
+class TestGraphLinks:
+    """A link of dimension 1 is Cohen-Macaulay iff it is connected; its
+    components are counted with no elimination."""
+
+    def test_two_triangles_sharing_a_vertex(self, monkeypatch):
+        calls = TestCostarSweep.counting(monkeypatch, "_reduced_ranks")
+        c = cx(5, [{1, 2, 3}, {3, 4, 5}])
+        for f, p in ORACLE_FIELDS:
+            calls.clear()
+            assert sc.is_cohen_macaulay(c, f).witness == sc.CMWitness((3,), 0, 1)
+            assert oracle_cm_witness(c, p) == ((3,), 0, 1)
+            # the empty face's link is a cone and every other link is a graph
+            assert calls == []
+
+    def test_connectivity_witnesses_match_oracle(self):
+        sample = seeded_complexes(40, seed=60606, n_range=(4, 7), density=(0.3, 0.8),
+                                  accept=lambda c: (not c.is_void and not c.has_ghost_vertices
+                                                    and any(k > 1 for k in graph_link_components(c))))
+        graph_witnesses = 0
+        for c in sample:
+            for f, p in ORACLE_FIELDS:
+                w = sc.is_cohen_macaulay(c, f).witness
+                assert (w.face, w.degree, w.rank) == oracle_cm_witness(c, p)
+                graph_witnesses += sc.link(c, w.face).dim == 1
+                w = sc.is_sequentially_cm(c, f).witness
+                expected = oracle_scm_witness(c, p)
+                assert (w is None) == (expected is None)
+                if w is not None:
+                    assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
+        assert graph_witnesses >= 20
 
 
 def clearing_inputs():
