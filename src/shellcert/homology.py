@@ -72,9 +72,14 @@ cones.
 A link of dimension 1 is a graph.  Its only degrees below 1 are -1, where
 its rank is 0 since it has a vertex, and 0, where over every field the rank
 is one less than its number of connected components.  So after the cone
-rule it is decided by a bitmask flood fill over the vertex and edge layers
-of its costar, with no elimination; a disconnected link gives the witness
-(face, 0, components - 1) that the ranks give.
+rule its components are counted by the GF(2) kernel, with no
+``_reduced_ranks`` call: a graph's edge bitmasks have GF(2) rank equal to
+its vertices minus its components.  Proof: a spanning forest has that many
+edges, and they are independent, since any nonempty set of them is a forest
+with a leaf, whose bit only one edge of the set has; every other edge closes
+a cycle with forest edges, and a cycle has each vertex bit twice, so it sums
+to zero.  A disconnected link gives the witness (face, 0, components - 1)
+that the ranks give.
 
 The pure i-skeleton D^[i] is generated by the (i+1)-element faces of D, which
 ``is_sequentially_cm`` takes from its one face list of D; D is sequentially
@@ -386,36 +391,6 @@ class CMReport:
         return self.ok
 
 
-def _components(sigma: int, vertices: Sequence[int], edges: Sequence[int]) -> int:
-    """Connected components of the graph on the faces ``vertices`` and
-    ``edges`` with sigma taken out of each, by a bitmask flood fill: each
-    round adds the neighbours of the front to the component."""
-    adj: dict[int, int] = {}
-    for t in edges:
-        e = t ^ sigma
-        a = e & -e
-        b = e ^ a
-        adj[a] = adj.get(a, 0) | b
-        adj[b] = adj.get(b, 0) | a
-    left = 0
-    for t in vertices:
-        left |= t
-    left &= ~sigma
-    count = 0
-    while left:
-        count += 1
-        front = left & -left
-        while front:
-            left &= ~front
-            reach = 0
-            while front:
-                low = front & -front
-                front ^= low
-                reach |= adj.get(low, 0)
-            front = reach & left
-    return count
-
-
 def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                 field: Field, pure: bool) -> Optional[CMWitness]:
     """First face (canonical order) of the complex with the given faces (grouped
@@ -434,9 +409,11 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
     the top layer of the costar, share a vertex outside the face is a cone
     and passes without elimination; its costar is kept first, so the faces
     below it are still swept.  Any other link of dimension 1 is a graph,
-    Cohen-Macaulay iff connected (module docstring), and ``_components``
-    counts its components with no elimination.  Every other link costs one
-    ``_reduced_ranks`` call over the sweep's field.
+    Cohen-Macaulay iff connected, and has its vertices minus the GF(2) rank
+    of its edges as components (a spanning forest's edges are independent
+    and every cycle sums to zero; module docstring), over every field.
+    Every other link costs one ``_reduced_ranks`` call over the sweep's
+    field.
     """
     kept = {0: faces}
     for layer in faces:
@@ -462,7 +439,10 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                 if apex & ~sigma:  # the link is a cone
                     continue
             if d == 1:
-                k = _components(sigma, costar[1], costar[2])
+                # _pivots_gf2 keys pivots by lowest bit, so descending edges make the
+                # top vertex's star the pivots first and a dense link's edges clear in
+                # two XORs (K80 link: 0.56 ms descending, 6.3 ms ascending)
+                k = len(costar[1]) - rank_gf2([t ^ sigma for t in reversed(costar[2])])
                 if k > 1:
                     return CMWitness(universe.members(sigma), 0, k - 1)
                 continue

@@ -639,25 +639,40 @@ class TestShellingCertificate:
                     assert oracle_cm_witness(skeleton, p) is None
 
 
+def union_components(c):
+    """Connected components of c, from its facets by a union of overlapping sets."""
+    parts = []
+    for f in facet_sets(c):
+        touching = [q for q in parts if q & f]
+        parts = [q for q in parts if not q & f] + [frozenset(f).union(*touching)]
+    return len(parts)
+
+
 def graph_link_components(c):
-    """Component counts of the links of dimension 1, from ``link`` and the
-    link's facets by a union of overlapping sets."""
+    """Component counts of the links of dimension 1, from ``link``."""
     counts = []
     for sigma in sc.all_faces(c):
         lk = sc.link(c, sigma)
-        if lk.is_void or lk.dim != 1:
-            continue
-        parts = []
-        for f in facet_sets(lk):
-            touching = [q for q in parts if q & f]
-            parts = [q for q in parts if not q & f] + [frozenset(f).union(*touching)]
-        counts.append(len(parts))
+        if not lk.is_void and lk.dim == 1:
+            counts.append(union_components(lk))
     return counts
+
+
+def hanging_skeleton(m, triangles, edge=False):
+    """The 2-skeleton of the simplex on 0..m-1, with ``triangles`` triangles
+    and, if ``edge``, one edge hanging off the vertex m - 1 by new vertices."""
+    facets = [set(t) for t in itertools.combinations(range(m), 3)]
+    facets += [{m - 1, m + 2 * j, m + 2 * j + 1} for j in range(triangles)]
+    if edge:
+        facets.append({m - 1, m + 2 * triangles})
+    n = m + 2 * triangles + edge
+    return sc.from_facets(VertexSet.of(range(n)), facets), n
 
 
 class TestGraphLinks:
     """A link of dimension 1 is Cohen-Macaulay iff it is connected; its
-    components are counted with no elimination."""
+    components are counted from the GF(2) rank of its edges, with no
+    ``_reduced_ranks`` call."""
 
     def test_two_triangles_sharing_a_vertex(self, monkeypatch):
         calls = TestCostarSweep.counting(monkeypatch, "_reduced_ranks")
@@ -685,6 +700,29 @@ class TestGraphLinks:
                 if w is not None:
                     assert (w.face, w.degree, w.rank, w.skeleton_dim) == expected
         assert graph_witnesses >= 20
+
+    @pytest.mark.parametrize("m", [12, 20])
+    def test_large_graph_links_are_counted_without_elimination(self, m, monkeypatch):
+        # the link of m - 1 is the complete graph on 0..m-2 plus one edge per hanging
+        # triangle and an isolated vertex for the hanging edge; every other vertex link
+        # is connected, and the empty face's link is the complex itself
+        calls = TestCostarSweep.counting(monkeypatch, "_reduced_ranks")
+        for triangles, edge in [(1, False), (2, False), (3, False), (0, True), (1, True)]:
+            c, n = hanging_skeleton(m, triangles, edge)
+            count = union_components(sc.link(c, (m - 1,)))
+            assert count == 1 + triangles + edge
+            top_count = union_components(sc.link(sc.pure_skeleton(c, 2), (m - 1,)))
+            for f, _ in ORACLE_FIELDS:
+                calls.clear()
+                assert sc.is_cohen_macaulay(c, f).witness == sc.CMWitness((m - 1,), 0, count - 1)
+                assert [len(lk[1]) for lk, _ in calls] == [n]
+                calls.clear()
+                scm = sc.is_sequentially_cm(c, f)
+                if top_count == 1:  # a shelling: the hanging edge comes last
+                    assert scm.ok and calls == []
+                else:
+                    assert scm.witness == sc.CMWitness((m - 1,), 0, top_count - 1, skeleton_dim=2)
+                    assert [len(lk[1]) for lk, _ in calls] == [m + 2 * triangles]
 
 
 def clearing_inputs():
