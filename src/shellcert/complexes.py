@@ -226,10 +226,6 @@ class Complex:
         """True iff some universe vertex lies in no facet."""
         return self.support != self.universe.full_mask
 
-    def contains(self, face) -> bool:
-        m = self.universe.as_mask(face)
-        return any(m & f == m for f in self.facets)
-
     def facet_members(self) -> list:
         """Facets as label tuples, canonical order."""
         return [self.universe.members(f) for f in self.facets]
@@ -354,12 +350,14 @@ def link(c: Complex, face) -> Complex:
 
     Its facets are the sets F - face for the facets F containing the face.
     They already form an antichain (F - face inside G - face gives F inside
-    G), so no absorption pass is needed.
+    G), so no absorption pass is needed.  A set that no facet contains is no
+    face, and neither is any set of the void complex: both raise InputError.
     """
     f = c.universe.as_mask(face)
-    if not c.contains(f):
+    facets = [F ^ f for F in c.facets if F & f == f]
+    if not facets:
         raise InputError("link of a non-face: {%s}" % ",".join(map(str, c.universe.members(f))))
-    return Complex(c.universe, _canonical(F ^ f for F in c.facets if F & f == f))
+    return Complex(c.universe, _canonical(facets))
 
 
 def pure_skeleton(c: Complex, i: int) -> Complex:

@@ -171,10 +171,6 @@ class Field:
         return cls(p)
 
     @classmethod
-    def rationals(cls) -> "Field":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text: str) -> "Field":
         """A field from its name: gf<p> or gf(p), so ``str`` round-trips, or q;
         case is ignored."""
@@ -197,7 +193,7 @@ class Field:
 
 
 GF2 = Field.gf(2)
-QQ = Field.rationals()
+QQ = Field(None)
 DEFAULT_FIELDS = (GF2, QQ)
 
 
@@ -453,7 +449,6 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
         if not costars:
             return None
         kept = costars
-    return None
 
 
 def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:

@@ -156,11 +156,11 @@ class CheckReport:
 
 
 def _as_sequence(c: Complex, order, expected: Sequence[int], what: str) -> tuple:
-    """Normalize an order to masks and verify it is a permutation of *expected*."""
+    """Normalize an order (an OrderCertificate, or faces as masks or labels) to
+    masks and verify it is a permutation of *expected*."""
     if isinstance(order, OrderCertificate):
-        seq = tuple(order.sequence)
-    else:
-        seq = tuple(c.universe.as_mask(f) for f in order)
+        order = order.sequence
+    seq = tuple(c.universe.as_mask(f) for f in order)
     if sorted(seq) != sorted(expected):
         raise InputError("order is not a permutation of the %s" % what)
     return seq

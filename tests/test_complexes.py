@@ -280,6 +280,20 @@ class TestLink:
         with pytest.raises(sc.InputError):
             sc.link(c, {1, 3})
 
+    @pytest.mark.parametrize("facets, face, message", [
+        ([{1, 2}], {1, 3}, "link of a non-face: {1,3}"),
+        ([{1, 2}, {2, 3}], {1, 3}, "link of a non-face: {1,3}"),
+        ([()], {1}, "link of a non-face: {1}"),
+        ([], (), "link of a non-face: {}"),
+        ([], {2}, "link of a non-face: {2}"),
+    ])
+    def test_nonface_message(self, facets, face, message):
+        # a set no facet contains, and any set of the void complex, is no face
+        c = cx(3, facets)
+        with pytest.raises(sc.InputError) as caught:
+            sc.link(c, face)
+        assert str(caught.value) == message
+
     def test_matches_absorbed_generators_on_samples(self):
         # link() skips absorption because F - face is already an antichain;
         # from_facets absorbs, so agreement checks the antichain argument

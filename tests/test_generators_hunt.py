@@ -169,6 +169,15 @@ class TestHunt:
         report = hunt_counterexample(seed, budget)
         assert tuple(report.counts[s] for s in STAGES) == counts
 
+    def test_sweep_runs_once_per_screened_candidate_over_gf2(self, scm_fields):
+        # all() stops at the first failing field and cm_reports skips Q after
+        # GF(2) passes, so each candidate that reaches the sweep costs one
+        # GF(2) call: 15 at seed 1, all failing
+        report = hunt_counterexample(1, 500)
+        swept = report.counts["not-sequentially-cm"] + report.counts["hit"]
+        assert swept == 15
+        assert scm_fields == ["GF(2)"] * swept
+
     @pytest.mark.parametrize("seed, budget", [(1, 500), (3, 200), (4, 200), (6, 200), (7, 200)])
     def test_every_oversized_facet_sample_has_a_facet_missing_one_vertex(self, monkeypatch,
                                                                         seed, budget):

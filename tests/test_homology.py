@@ -57,6 +57,10 @@ class TestFieldSpec:
         assert str(sc.GF2) == "GF(2)"
         assert str(sc.QQ) == "Q"
 
+    def test_rationals_are_the_field_without_characteristic(self):
+        assert sc.Field(None) == sc.Field() == sc.QQ
+        assert sc.QQ.p is None and str(sc.Field(None)) == "Q"
+
 
 def sparse(rows):
     """Dense rows as ``{column: entry}`` dicts, zeros kept for the kernel to drop."""

@@ -248,6 +248,37 @@ class TestCheckStrongGcd:
         assert sc.check_strong_gcd_order(c, order)
 
 
+CHECKS = (
+    (sc.check_shelling_order, sc.SHELLING, lambda c: c.facets),
+    (sc.check_weak_shelling_order, sc.WEAK_SHELLING, lambda c: c.facets),
+    (sc.check_strong_gcd_order, sc.STRONG_GCD, sc.minimal_nonfaces),
+)
+
+
+class TestCertificateOrders:
+    """An OrderCertificate is read like any other order: each mask through as_mask."""
+
+    @pytest.mark.parametrize("check, kind, items", CHECKS, ids=("shelling", "weak", "sgcd"))
+    def test_mask_outside_the_universe_rejected(self, check, kind, items):
+        c = sc.from_minimal_nonfaces(VertexSet.of(range(1, 7)),
+                                     [{1, 2, 3}, {1, 2, 6}, {4, 5, 6}])
+        seq = tuple(items(c))
+        for bad in (1 << c.universe.n, -1, c.universe.full_mask | 1 << 9):
+            cert = sc.OrderCertificate(kind, c, seq[:-1] + (bad,))
+            with pytest.raises(sc.InputError, match="outside universe"):
+                check(c, cert)
+
+    @pytest.mark.parametrize("check, kind, items", CHECKS, ids=("shelling", "weak", "sgcd"))
+    def test_certificate_masks_and_labels_give_one_report(self, check, kind, items):
+        for name, make in sorted(FIXTURES.items()):
+            c = make()
+            seq = tuple(items(c))
+            for order in (seq, seq[::-1]):
+                cert = sc.OrderCertificate(kind, c, order)
+                rep = check(c, cert)
+                assert rep == check(c, list(order)) == check(c, cert.members()), name
+
+
 class TestFindShelling:
     def test_two_triangles(self):
         c = cx(4, [{1, 2, 3}, {2, 3, 4}])
