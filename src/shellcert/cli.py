@@ -292,6 +292,3 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         return EX_INTERNAL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -102,7 +102,6 @@ class Slot:
 
 @dataclass
 class FactTable:
-    complex: Complex
     flag: bool
     ghost_free: bool = True
     slots: dict = dc_field(default_factory=lambda: {name: Slot() for name in SLOTS})
@@ -191,7 +190,7 @@ def build_fact_table(c: Complex, fields: Sequence[Field] = DEFAULT_FIELDS) -> Fa
     """
     if not fields:
         raise InputError("the fact table needs at least one field")
-    table = FactTable(c, flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
+    table = FactTable(flag=is_flag(c), ghost_free=not c.has_ghost_vertices)
     # placeholder; the closure may still upgrade it via an implication rule
     table.slots["golod"].value = OUT_OF_SCOPE
     table.slots["golod"].note = "no algebraic verification performed"

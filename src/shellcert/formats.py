@@ -27,9 +27,16 @@ def _build(vertices, faces, nonface_form: bool) -> Complex:
     return from_facets(u, faces)
 
 
-def _parse_json(doc) -> Complex:
-    if not isinstance(doc, dict):
-        raise InputError("document must be a JSON object")
+def _parse_json(doc: dict) -> Complex:
+    """The complex of a decoded JSON document, which is always an object.
+
+    ``parse_complex`` decodes only text whose first character after
+    ``str.lstrip`` is ``{``.  JSON's whitespace (space, tab, newline,
+    carriage return) is a subset of what ``lstrip`` removes, so the decoder's
+    first token is that ``{`` or a character it rejects; an object is then
+    the only value it can return, since anything after the closing brace is
+    "Extra data".  An array, string, number or null never gets here.
+    """
     if "vertices" not in doc:
         raise InputError("document lacks a 'vertices' key")
     has_f = "facets" in doc
@@ -73,7 +80,13 @@ def _parse_text(text: str) -> Complex:
 
 
 def parse_complex(text: str) -> Complex:
-    """Parse a complex document, auto-detecting JSON versus plain text."""
+    """Parse a complex document, auto-detecting JSON versus plain text.
+
+    Text that starts with ``{`` after leading whitespace is decoded as JSON
+    (``_parse_json``); all other text, a JSON array, string, number or null
+    included, is read as plain text and so fails on its first line unless
+    that line is ``vertices: <labels>``.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

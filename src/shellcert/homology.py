@@ -173,9 +173,9 @@ class Field:
     @classmethod
     def parse(cls, text: str) -> "Field":
         """A field from its name: gf<p> or gf(p), so ``str`` round-trips, or q;
-        case is ignored."""
+        case and surrounding whitespace are ignored.  No other name is read."""
         t = text.strip().lower()
-        if t in ("q", "qq", "rational", "rationals"):
+        if t == "q":
             return cls(None)
         digits = t[2:]
         if digits[:1] == "(" and digits[-1:] == ")":
@@ -379,7 +379,6 @@ class CMWitness:
 @dataclass(frozen=True)
 class CMReport:
     ok: bool
-    field: Field
     witness: Optional[CMWitness] = None
     degenerate: Optional[str] = None  # never set; perfbench/workloads.py still reads it
 
@@ -467,9 +466,9 @@ def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     if c.is_void:
         raise InputError("Cohen-Macaulayness of the void complex is undefined")
     if c.is_pure and _first_descent(c.facets, c.universe.full_mask) is not None:
-        return CMReport(True, field)
+        return CMReport(True)
     w = _cm_witness(c.universe, _faces_by_size(c.facets), field, c.is_pure)
-    return CMReport(w is None, field, witness=w)
+    return CMReport(w is None, witness=w)
 
 
 def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
@@ -495,7 +494,7 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")
     if _first_descent(c.facets, c.universe.full_mask) is not None:
-        return CMReport(True, field)
+        return CMReport(True)
     layers = _faces_by_size(c.facets)
     top = c.dim
     top_faces = layers if c.is_pure else _faces_by_size(layers[top + 1])
@@ -503,13 +502,15 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
         faces = top_faces if i == top else _faces_by_size(layers[i + 1])
         w = _cm_witness(c.universe, faces, field, True)
         if w is not None:
-            return CMReport(False, field, witness=replace(w, skeleton_dim=i))
-    return CMReport(True, field)
+            return CMReport(False, witness=replace(w, skeleton_dim=i))
+    return CMReport(True)
 
 
 def cm_reports(test: Callable, c: Complex, fields: Iterable[Field]) -> Iterator[tuple]:
     """(field, report) pairs of ``test`` (``is_cohen_macaulay`` or
-    ``is_sequentially_cm``) on c, each field once in first-seen order.
+    ``is_sequentially_cm``) on c, each field once in first-seen order.  The
+    pair carries the field; a ``CMReport`` does not, since every caller of a
+    test passes the field in.
 
     Q passes without a sweep after a prime field has passed: by universal
     coefficients, link homology that vanishes over GF(p) vanishes over Q (the
@@ -519,6 +520,6 @@ def cm_reports(test: Callable, c: Complex, fields: Iterable[Field]) -> Iterator[
     """
     prime_passed = False
     for f in dict.fromkeys(fields):
-        rep = CMReport(True, f) if f.p is None and prime_passed else test(c, f)
+        rep = CMReport(True) if f.p is None and prime_passed else test(c, f)
         prime_passed |= rep.ok and f.p is not None
         yield f, rep

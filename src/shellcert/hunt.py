@@ -38,8 +38,12 @@ _N_VERTICES = (5, 6, 7, 8)
 
 @dataclass
 class HuntReport:
-    seed: object
-    budget: int
+    """How many candidates of one hunt ended in each stage, and the hits.
+
+    Every candidate ends in exactly one stage, so ``sampled``, the sum of the
+    counts, is the hunt's budget; the seed is its caller's argument.
+    """
+
     counts: dict = dc_field(default_factory=lambda: {s: 0 for s in STAGES})
     hits: list = dc_field(default_factory=list)
 
@@ -115,7 +119,7 @@ def hunt_counterexample(seed: int, budget: int) -> HuntReport:
     """
     if budget < 0:
         raise InputError("hunt budget must be non-negative, got %d" % budget)
-    report = HuntReport(seed=seed, budget=budget)
+    report = HuntReport()
     for i in range(budget):
         sub = seed * 1_000_003 + i
         n = _N_VERTICES[i % len(_N_VERTICES)]

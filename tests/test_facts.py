@@ -25,7 +25,7 @@ from oracles import brute_chordless_cycle
 
 
 def table_with(flag=False, **values):
-    t = FactTable(complex=None, flag=flag)
+    t = FactTable(flag=flag)
     for name, (value, prov) in values.items():
         t.slots[name] = Slot(value, prov)
     return t
@@ -233,7 +233,7 @@ def counting(monkeypatch, name):
 def searched_table(c):
     """A fact table with every slot decided on its own: the shelling search,
     the strong gcd search and the dual's sweep, then the closure."""
-    t = FactTable(c, flag=sc.is_flag(c), ghost_free=not c.has_ghost_vertices)
+    t = FactTable(flag=sc.is_flag(c), ghost_free=not c.has_ghost_vertices)
     dual = sc.alexander_dual(c)
     for name, find, arg in (("dual_shellable", sc.find_shelling_order, dual),
                             ("strong_gcd", sc.find_strong_gcd_order, c)):

@@ -29,12 +29,19 @@ MALFORMED_JSON = [
 ]
 
 
+# JSON values other than an object: only text starting with "{" is decoded, so these
+# are read as plain text and fail on their first line
+JSON_NON_OBJECTS = ["[1, 2]", '"x"', "3", "null", '  [ {"vertices": [1]} ]']
+
+
 # (arguments, a document whose path is appended, or None; the input error's message)
 INPUT_ERRORS = [
     pytest.param(["homology", "--fixture", "pentagon", "--field", "gfx"], None,
                  "unrecognized field 'gfx' (expected gf<p> or q)", id="field-gfx"),
     pytest.param(["homology", "--fixture", "pentagon", "--field", "gf()"], None,
                  "unrecognized field 'gf()' (expected gf<p> or q)", id="field-gf()"),
+    pytest.param(["cm", "--fixture", "pentagon", "--field", "rationals"], None,
+                 "unrecognized field 'rationals' (expected gf<p> or q)", id="field-rationals"),
     pytest.param(["homology", "--fixture", "pentagon", "--field", "gf1"], None,
                  "characteristic must be prime, got 1", id="field-gf1"),
     pytest.param(["homology", "--fixture", "pentagon", "--field", "gf(4)"], None,
@@ -158,6 +165,12 @@ class TestParse:
         with pytest.raises(sc.InputError):
             parse_complex(doc)
 
+    @pytest.mark.parametrize("doc", JSON_NON_OBJECTS)
+    def test_json_non_objects_are_read_as_text(self, doc):
+        with pytest.raises(sc.InputError) as info:
+            parse_complex(doc)
+        assert str(info.value) == "first line must be 'vertices: <labels>'"
+
     def test_text_facet_form(self):
         c = parse_complex("vertices: 1 2 3 4\n1 2 3\n3 4\n")
         assert c.facet_members() == [(3, 4), (1, 2, 3)]
@@ -235,6 +248,12 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO('{"vertices":[1,2], "facets":[[1],[2]]}'))
         code, out, _ = self.run(["dual", "-"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("doc", JSON_NON_OBJECTS)
+    def test_dual_stdin_json_non_object(self, doc, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert self.run(["dual", "-"], capsys) == (
+            EX_INPUT, "", "input error: first line must be 'vertices: <labels>'\n")
 
     def test_nonfaces(self, capsys):
         code, out, _ = self.run(["nonfaces", "--fixture", "pentagon"], capsys)

@@ -447,6 +447,19 @@ class TestTrivialWeak:
         assert d.universe.n >= 2 * d.dim + 3
         assert sc.is_trivially_weakly_shellable(d)
 
+    def test_enough_vertices_imply_every_order_is_weak(self):
+        # two facets have at most 2*dim + 2 vertices, so they cannot cover the universe
+        rng = random.Random(23)
+        cases = seeded_complexes(150, seed=2323, n_range=(5, 11), density=(0.1, 0.4),
+                                 accept=lambda c: len(c.facets) >= 2 and c.universe.n >= 2 * c.dim + 3)
+        assert max(c.dim for c in cases) >= 3
+        for c in cases:
+            assert sc.is_trivially_weakly_shellable(c)
+            for _ in range(3):
+                order = list(c.facets)
+                rng.shuffle(order)
+                assert sc.check_weak_shelling_order(c, order).ok
+
     def test_triangle_boundary_inconclusive(self):
         assert not sc.is_trivially_weakly_shellable(cx(3, [{1, 2}, {2, 3}, {1, 3}]))
 

@@ -1,6 +1,7 @@
 import shellcert as sc
-from shellcert import catalog
-from shellcert.verify import run_claims
+from shellcert import catalog, verify
+from shellcert.cli import EX_FAIL, main
+from shellcert.verify import ClaimResult, run_claims
 
 
 def test_all_claims_pass():
@@ -11,6 +12,19 @@ def test_all_claims_pass():
     # one fact-table claim per catalog.CLAIMS row, in its order
     fact_rows = [r.name.split(":")[0] for r in results if ": fact table is" in r.name]
     assert fact_rows == list(catalog.CLAIMS)
+
+
+def test_a_crashing_claim_fails_and_the_next_still_runs(monkeypatch, capsys):
+    def crashes():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "_claims", lambda: iter([("crashes", crashes),
+                                                         ("passes", lambda: (True, ""))]))
+    assert run_claims() == [ClaimResult("crashes", False, "error: ValueError('boom')"),
+                            ClaimResult("passes", True, "")]
+    assert main(["verify-paper"]) == EX_FAIL
+    assert capsys.readouterr().out == (
+        "[FAIL] crashes (error: ValueError('boom'))\n[PASS] passes\n1/2 claims passed\n")
 
 
 def test_reversed_nonface_order_reports_witness():
