@@ -363,7 +363,7 @@ def link(c: Complex, face) -> Complex:
 def pure_skeleton(c: Complex, i: int) -> Complex:
     """Subcomplex generated by all i-dimensional faces of c."""
     d = c.dim
-    if d is VOID_DIM or not -1 <= i <= d:
+    if not -1 <= i <= d:
         raise InputError("skeleton dimension %s out of range for a complex of dimension %s" % (i, d))
     gen: set[int] = set()
     k = i + 1

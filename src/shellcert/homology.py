@@ -269,7 +269,11 @@ def _boundary_rank(faces_d: Sequence[int], below_index: dict, cleared: Container
     Rows go to the kernel in descending face index, and the row of every face
     whose index is in ``cleared`` is never built (``_betti_numbers`` says why
     that is exact).  A pivot column is the index of a (d-1)-face.  Over GF(2)
-    signs vanish, so each row goes straight into a bitmask.
+    signs vanish, so each row goes straight into a bitmask.  It is the only
+    code that turns faces into boundary rows; its callers are
+    ``_betti_numbers`` and the shelling root refutation,
+    ``orders._closed_and_acyclic``, which passes the facets with no cleared
+    index.
     """
     faces = [faces_d[j] for j in range(len(faces_d) - 1, -1, -1) if j not in cleared]
     if field.p == 2:

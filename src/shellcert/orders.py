@@ -70,6 +70,7 @@ prefix-closed while the gcd condition is not.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -86,7 +87,7 @@ from .complexes import (
     chordal_certificate,
     minimal_nonfaces,
 )
-from .homology import rank_gf2
+from .homology import GF2, _boundary_rank
 
 __all__ = [
     "SHELLING",
@@ -421,27 +422,17 @@ def _closed_and_acyclic(c: Complex) -> bool:
 
     Such a complex has no shelling (see ``find_shelling_order``).  The gates
     run cheapest first: purity, a ridge in one facet only, and last the
-    rank.  The complex {empty set} gives one zero row, of rank 0.
+    rank.  The rows are the ones every homology sweep uses: ``_boundary_rank``
+    builds them from the facets, one column per ridge.  The complex {empty
+    set} gives one zero row, of rank 0.
     """
-    facets = c.facets
-    if not facets or facets[0].bit_count() != facets[-1].bit_count():  # void, or not pure
+    if c.is_void or not c.is_pure:
         return False
-    column: dict[int, int] = {}  # ridge -> its column
-    once = twice = 0  # the columns met in at least one facet, in at least two
-    rows = []
-    for F in facets:
-        row = 0
-        rest = F
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row |= 1 << column.setdefault(F ^ low, len(column))
-        twice |= once & row
-        once |= row
-        rows.append(row)
-    if once != twice:
+    count = Counter(F ^ 1 << v for F in c.facets for v in _bit_indices(F))  # ridge -> its facets
+    if 1 in count.values():
         return False
-    return rank_gf2(rows) == len(facets)
+    column = {ridge: j for j, ridge in enumerate(count)}
+    return _boundary_rank(c.facets, column, (), GF2)[0] == len(c.facets)
 
 
 def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:

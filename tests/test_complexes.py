@@ -102,12 +102,15 @@ class TestMinimalNonfaces:
         assert len(expected) == 17296
 
     def test_returned_list_is_fresh(self):
-        c = cx(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}])
-        first = sc.minimal_nonfaces(c)
-        expected = list(first)
-        first.append(0)
-        first.reverse()
-        assert sc.minimal_nonfaces(c) == expected
+        # a flag complex, one with a triple non-face, and the full simplex
+        for facets in ([{1, 2}, {2, 3}, {3, 4}, {1, 4}], [{1, 2}, {2, 3}, {1, 3}], [{1, 2, 3, 4}]):
+            for mutate in (lambda got: (got.append(0), got.reverse()), list.clear):
+                c, twin = cx(4, facets), cx(4, facets)
+                expected = sc.minimal_nonfaces(twin)
+                mutate(sc.minimal_nonfaces(c))
+                assert sc.minimal_nonfaces(c) == expected
+                assert sc.alexander_dual(c) == sc.alexander_dual(twin)
+                assert sc.is_flag(c) == sc.is_flag(twin)
 
     def test_computed_nonfaces_leave_equality_hash_and_repr(self):
         for c in seeded_complexes(40, seed=1618, n_range=(3, 7)):
@@ -337,6 +340,10 @@ class TestPureSkeleton:
             sc.pure_skeleton(c, 2)
         with pytest.raises(sc.InputError):
             sc.pure_skeleton(c, -2)
+        for i in (-1, 0):
+            message = "skeleton dimension %d out of range for a complex of dimension -inf" % i
+            with pytest.raises(sc.InputError, match="^%s$" % message):
+                sc.pure_skeleton(cx(3, []), i)
 
 
 class TestFlag:

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -8,9 +9,10 @@ from shellcert.catalog import FIXTURES
 from shellcert.complexes import VertexSet
 from shellcert.orders import _weak_moves
 
-from conftest import seeded_complexes, seeded_flag_complexes
+from conftest import facet_sets, seeded_complexes, seeded_flag_complexes
 from oracles import (
     brute_chordless_cycle,
+    brute_reduced_homology,
     brute_shelling_failure,
     brute_strong_gcd_failure,
     brute_weak_failure,
@@ -20,6 +22,10 @@ from oracles import (
 
 def cx(n, facets):
     return sc.from_facets(VertexSet.of(range(1, n + 1)), facets)
+
+
+def cx0(n, facets):
+    return sc.from_facets(VertexSet.of(range(n)), facets)
 
 
 def canonical_masks(c, sets):
@@ -694,9 +700,6 @@ class TestTopCycleRefutation:
     def test_never_fires_where_a_top_cycle_or_a_shelling_exists(self):
         from shellcert import orders
 
-        def cx0(n, facets):
-            return sc.from_facets(VertexSet.of(range(n)), facets)
-
         boundaries = [cx0(n, combinations(range(n), n - 1)) for n in range(2, 9)]
         graphs = [cx0(n, combinations(range(n), 2)) for n in range(2, 13)]
         duals = [sc.alexander_dual(g) for g in graphs if g.universe.n <= 10]
@@ -713,6 +716,51 @@ class TestTopCycleRefutation:
                 assert_same_existence(c, searched)
             else:
                 assert sc.find_shelling_order(c) == searched
+
+    def test_each_gate_against_the_homology_oracle(self):
+        from shellcert import orders
+        from shellcert.catalog import dunce_hat, projective_plane
+
+        def failing_gate(c):
+            """The first gate of the refutation that says False, from scratch."""
+            sets = facet_sets(c)
+            if len({len(s) for s in sets}) != 1:
+                return "pure"
+            if 1 in Counter(s - {v} for s in sets for v in s).values():
+                return "ridge"
+            if brute_reduced_homology(c.universe.labels, sets, 2)[len(sets[0]) - 1]:
+                return "rank"
+            return None
+
+        def disjoint_union(a, b):
+            n = a.universe.n
+            facets = [[i for i in range(n) if F >> i & 1] for F in a.facets]
+            facets += [[n + i for i in range(b.universe.n) if F >> i & 1] for F in b.facets]
+            return cx0(n + b.universe.n, facets)
+
+        d, rp2 = dunce_hat(), projective_plane()
+        torus = cx0(7, [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+                    + [{i, (i + 2) % 7, (i + 3) % 7} for i in range(7)])
+        octahedron = cx0(6, product((0, 1), (2, 3), (4, 5)))
+        boundaries = [cx0(n, combinations(range(n), n - 1)) for n in range(2, 9)]
+        fixtures = [make() for make in FIXTURES.values()]
+        sample = seeded_complexes(400, seed=4101, n_range=(4, 8),
+                                  accept=lambda c: c.is_pure and len(c.facets) >= 2)
+        cases = (fixtures + [sc.alexander_dual(c) for c in fixtures]
+                 + [d, suspension(d), suspension(suspension(d)), rp2, suspension(rp2), torus, octahedron]
+                 + boundaries + sample + [e for e in map(sc.alexander_dual, sample) if e.is_pure]
+                 # the void complex, {empty set}, and a complex that is not pure though
+                 # its facets of each size pass the other two gates
+                 + [cx0(3, []), cx0(3, [()]), disjoint_union(d, suspension(d))])
+        gates = Counter()
+        for c in cases:
+            gate = failing_gate(c)
+            assert orders._closed_and_acyclic(c) == (gate is None), c.facet_members()
+            gates[gate] += 1
+        assert gates[None] >= 4 and gates["pure"] and gates["ridge"] and gates["rank"], gates
+        # closed, with a top GF(2) cycle: only the rank says False
+        for c in [rp2, suspension(rp2), torus, octahedron] + boundaries:
+            assert failing_gate(c) == "rank"
 
 
 class TestShellingMasks:
