@@ -70,7 +70,9 @@ FALSE = "F"
 UNKNOWN = "unknown"
 OUT_OF_SCOPE = "out-of-scope"
 
-SLOTS = ("dual_shellable", "strong_gcd", "dual_seq_cm", "golod")
+# each slot, in table order, and its printed label
+SLOTS = {"dual_shellable": "dual shellable", "strong_gcd": "strong gcd",
+         "dual_seq_cm": "dual seq. CM", "golod": "Golod"}
 
 # (premise slot, conclusion slot, rule name, the FactTable field it needs or None);
 # premise T forces conclusion T, conclusion F forces premise F.
@@ -128,18 +130,12 @@ class FactTable:
         return True
 
     def as_text(self) -> str:
-        labels = {
-            "dual_shellable": "dual shellable",
-            "strong_gcd": "strong gcd",
-            "dual_seq_cm": "dual seq. CM",
-            "golod": "Golod",
-        }
         lines = []
-        for name in SLOTS:
+        for name, label in SLOTS.items():
             s = self.slots[name]
             extra = " [%s]" % s.note if s.note else ""
             prov = " (%s)" % s.provenance if s.provenance else ""
-            lines.append("%-15s %-12s%s%s" % (labels[name] + ":", s.value, prov, extra))
+            lines.append("%-15s %-12s%s%s" % (label + ":", s.value, prov, extra))
         return "\n".join(lines)
 
 

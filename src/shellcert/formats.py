@@ -2,18 +2,21 @@
 
 JSON form: ``{"vertices": [...], "facets": [[...], ...]}`` or the same with
 ``"nonfaces"`` instead of ``"facets"``; exactly one of the two keys must be
-present.  Labels are JSON integers or strings.
+present, and no key of an object may appear twice.  Labels are JSON integers
+or strings.
 
 Plain-text form: a first line ``vertices: a b c ...`` followed by one facet
 per line (whitespace-separated labels); a line consisting of the word
 ``nonfaces`` switches the remaining lines to minimal non-face form.  When
-every label in the document, on the vertices line and in the faces, parses
-as an integer, all labels are integers; otherwise all are strings.
+every label in the document, on the vertices line and in the faces, is ASCII
+digits with an optional leading ``-``, all labels are integers (``01`` is 1);
+otherwise all are strings.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .complexes import Complex, InputError, VertexSet, from_facets, from_minimal_nonfaces
 
@@ -54,6 +57,17 @@ def _parse_json(doc: dict) -> Complex:
     return _build(doc["vertices"], faces, has_n)
 
 
+def _object(pairs: list) -> dict:
+    """A decoded JSON object; a key that appears twice is an input error,
+    where ``json.loads`` would keep its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError("duplicate key %r in a JSON object" % key)
+        doc[key] = value
+    return doc
+
+
 def _is_labels(value) -> bool:
     """A list of integers or strings; JSON true and false decode to bool, not int."""
     return isinstance(value, list) and all(type(v) in (int, str) for v in value)
@@ -71,11 +85,9 @@ def _parse_text(text: str) -> Complex:
         nonface_form = True
         body = body[1:]
     faces = [ln.split() for ln in body]
-    # one coercion for the whole document, so a label means the same everywhere
-    try:
+    # one rule for the whole document, so a label means the same everywhere
+    if all(re.fullmatch("-?[0-9]+", t) for f in [vertices, *faces] for t in f):
         vertices, faces = [int(t) for t in vertices], [[int(t) for t in f] for f in faces]
-    except ValueError:
-        pass
     return _build(vertices, faces, nonface_form)
 
 
@@ -90,7 +102,7 @@ def parse_complex(text: str) -> Complex:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_object)
         except (json.JSONDecodeError, RecursionError) as e:  # nesting too deep to decode
             raise InputError("invalid JSON: %s" % e)
         return _parse_json(doc)

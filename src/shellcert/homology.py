@@ -6,8 +6,8 @@ face that is not cleared (below) gives one sparse boundary row.  Over GF(2)
 the row is packed into a bitmask and reduced by XOR (``_pivots_gf2``); over
 GF(p) and the rationals one sparse kernel (``_pivots_sparse``) reduces it by
 cross-multiples, mod p or divided by the gcd of its entries.  Both return
-their pivots keyed by leading column; ``rank_gf2`` and ``rank_sparse``
-count them.  No floating point anywhere.
+their pivots keyed by leading column, and the rank is their number.  No
+floating point anywhere.
 
 Boundary ranks are computed from the top dimension down, with *clearing*
 (Chen-Kerber, "Persistent homology computation with a twist", EuroCG 2011).
@@ -116,6 +116,7 @@ case in a Cohen-Macaulay complex, is never eliminated over Q.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
@@ -172,21 +173,16 @@ class Field:
 
     @classmethod
     def parse(cls, text: str) -> "Field":
-        """A field from its name: gf<p> or gf(p), so ``str`` round-trips, or q;
-        case and surrounding whitespace are ignored.  No other name is read."""
+        """A field from its name: gf<p> or gf(p) with p in ASCII digits, so ``str``
+        round-trips, or q; case and surrounding whitespace are ignored.  No other
+        name is read."""
         t = text.strip().lower()
         if t == "q":
             return cls(None)
-        digits = t[2:]
-        if digits[:1] == "(" and digits[-1:] == ")":
-            digits = digits[1:-1]
-        try:
-            p = int(digits) if t.startswith("gf") else None
-        except ValueError:
-            p = None
-        if p is None:
+        m = re.fullmatch(r"gf([0-9]+)|gf\(([0-9]+)\)", t)
+        if m is None:
             raise InputError("unrecognized field %r (expected gf<p> or q)" % text)
-        return cls(p)
+        return cls(int(m[1] or m[2]))
 
     def __str__(self):
         return "Q" if self.p is None else "GF(%d)" % self.p
@@ -214,12 +210,6 @@ def _pivots_gf2(vectors: Iterable[int]) -> dict:
                 break
             v ^= piv
     return pivots
-
-
-def rank_gf2(vectors: Sequence[int]) -> int:
-    """Rank of bitmask vectors over GF(2), from the pivots of ``_pivots_gf2``
-    (XOR elimination on lowest set bits, keyed by leading column)."""
-    return len(_pivots_gf2(vectors))
 
 
 def _pivots_sparse(rows: Iterable[dict], p: Optional[int]) -> dict:
@@ -254,12 +244,6 @@ def _pivots_sparse(rows: Iterable[dict], p: Optional[int]) -> dict:
                 new[c] = new.get(c, 0) - f * y
             row = normalised(new)
     return pivots
-
-
-def rank_sparse(rows: Sequence[dict], p: Optional[int]) -> int:
-    """Rank of sparse rows ``{column: entry}`` over GF(p), or over Q when p is
-    None, from the pivots of ``_pivots_sparse`` (keyed by leading column)."""
-    return len(_pivots_sparse(rows, p))
 
 
 def _boundary_rank(faces_d: Sequence[int], below_index: dict, cleared: Container[int],
@@ -332,15 +316,10 @@ def _betti_numbers(layers: Sequence[Sequence[int]], field: Field) -> list:
     """Reduced Betti numbers over the field for faces grouped by size: entry k
     is the rank in dimension k - 1.
 
-    The boundary ranks are computed from the top layer down, with clearing
-    (Chen-Kerber 2011): the rows of the k-faces whose indices are pivot
-    columns of the boundary from the (k+1)-faces are skipped.  A pivot with
-    leading column c is a combination of (k+1)-face boundaries, so it is a
-    k-cycle whose other terms all have index > c; its boundary is 0, so row c
-    of the k-face boundary is a combination of the rows of index > c.  Going
-    down the indices, every skipped row lies in the span of the rows kept, so
-    the rank is unchanged, over every field.  Layer k hands the kernel
-    exactly f_k - rank(boundary from (k+1)-faces) rows.
+    The boundary ranks are computed from the top layer down, with clearing:
+    the rows of the k-faces whose indices are pivot columns of the boundary
+    from the (k+1)-faces are skipped, which leaves every rank unchanged over
+    every field by the clearing lemma of the module docstring.
     """
     brank = [0] * (len(layers) + 1)  # brank[k]: rank of the boundary from k-faces
     cleared: Container[int] = ()
@@ -441,7 +420,7 @@ def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
                 # _pivots_gf2 keys pivots by lowest bit, so descending edges make the
                 # top vertex's star the pivots first and a dense link's edges clear in
                 # two XORs (K80 link: 0.56 ms descending, 6.3 ms ascending)
-                k = len(costar[1]) - rank_gf2([t ^ sigma for t in reversed(costar[2])])
+                k = len(costar[1]) - len(_pivots_gf2([t ^ sigma for t in reversed(costar[2])]))
                 if k > 1:
                     return CMWitness(universe.members(sigma), 0, k - 1)
                 continue

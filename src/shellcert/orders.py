@@ -119,9 +119,8 @@ NODE_BUDGET = 250_000
 
 @dataclass(frozen=True)
 class OrderCertificate:
-    """A facet (or non-face) permutation together with the condition it certifies."""
+    """A facet (or non-face) permutation of a complex, as masks in order."""
 
-    kind: str
     complex: Complex
     sequence: tuple
 
@@ -435,7 +434,7 @@ def _closed_and_acyclic(c: Complex) -> bool:
     return _boundary_rank(c.facets, column, (), GF2)[0] == len(c.facets)
 
 
-def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:
+def _search(c: Complex, condition) -> Optional[OrderCertificate]:
     facets = c.facets
     moves = condition(facets, c.universe.full_mask)
     if moves is None:
@@ -443,7 +442,7 @@ def _search(c: Complex, kind: str, condition) -> Optional[OrderCertificate]:
     idx_order = _search_order(len(facets), moves)
     if idx_order is None:
         return None
-    return OrderCertificate(kind, c, tuple(facets[i] for i in idx_order))
+    return OrderCertificate(c, tuple(facets[i] for i in idx_order))
 
 
 def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
@@ -511,14 +510,14 @@ def find_shelling_order(c: Complex) -> Optional[OrderCertificate]:
             return None
         pos = {c.universe.mask([v]): i for i, v in enumerate(cert.vertices)}
         nonedges = sorted(nonedges, key=lambda e: sorted((pos[e & -e], pos[e & e - 1])))
-        return OrderCertificate(SHELLING, c, tuple(full ^ e for e in nonedges))
+        return OrderCertificate(c, tuple(full ^ e for e in nonedges))
     facets = c.facets
     descent = _first_descent(facets, full)
     if descent is not None:
-        return OrderCertificate(SHELLING, c, tuple(facets[i] for i in descent))
+        return OrderCertificate(c, tuple(facets[i] for i in descent))
     if _closed_and_acyclic(c):
         return None
-    return _search(c, SHELLING, _shelling_moves)
+    return _search(c, _shelling_moves)
 
 
 def find_weak_shelling_order(c: Complex) -> Optional[OrderCertificate]:
@@ -530,7 +529,7 @@ def find_weak_shelling_order(c: Complex) -> Optional[OrderCertificate]:
     a search.  None is a proof at any size; Undecided is raised when the
     search visits ``NODE_BUDGET`` prefix-sets without an answer.
     """
-    return _search(c, WEAK_SHELLING, _weak_moves)
+    return _search(c, _weak_moves)
 
 
 def find_strong_gcd_order(c: Complex) -> Optional[OrderCertificate]:
@@ -559,4 +558,4 @@ def gcd_order_from_dual(c: Complex, order: OrderCertificate) -> OrderCertificate
     decides.
     """
     full = c.universe.full_mask
-    return OrderCertificate(STRONG_GCD, c, tuple(full ^ f for f in reversed(order.sequence)))
+    return OrderCertificate(c, tuple(full ^ f for f in reversed(order.sequence)))

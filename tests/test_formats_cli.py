@@ -42,6 +42,8 @@ INPUT_ERRORS = [
                  "unrecognized field 'gf()' (expected gf<p> or q)", id="field-gf()"),
     pytest.param(["cm", "--fixture", "pentagon", "--field", "rationals"], None,
                  "unrecognized field 'rationals' (expected gf<p> or q)", id="field-rationals"),
+    pytest.param(["cm", "--fixture", "pentagon", "--field", "gf3_1"], None,
+                 "unrecognized field 'gf3_1' (expected gf<p> or q)", id="field-gf3_1"),
     pytest.param(["homology", "--fixture", "pentagon", "--field", "gf1"], None,
                  "characteristic must be prime, got 1", id="field-gf1"),
     pytest.param(["homology", "--fixture", "pentagon", "--field", "gf(4)"], None,
@@ -56,6 +58,9 @@ INPUT_ERRORS = [
                  "duplicate non-faces", id="nonfaces-duplicate"),
     pytest.param(["dual"], '{"vertices": [1,2], "nonfaces": [[]]}',
                  "the empty set cannot be a minimal non-face", id="nonfaces-empty-set"),
+    pytest.param(["cm"], '{"vertices": [1, 2, 3, 4], "facets": [[1, 2], [3, 4]], '
+                 '"facets": [[1, 2], [2, 3], [3, 4]]}',
+                 "duplicate key 'facets' in a JSON object", id="json-repeated-key"),
 ]
 
 
@@ -156,6 +161,16 @@ class TestParse:
         with pytest.raises(sc.InputError):
             parse_complex('{"vertices":[1,2], "facets":[[1]], "colour":"red"}')
 
+    def test_repeated_key_rejected(self):
+        # were the last value kept, the document would be read as its second list
+        edges, path = '"facets": [[1, 2], [3, 4]]', '"facets": [[1, 2], [2, 3], [3, 4]]'
+        for first, last in ((edges, path), (path, edges)):
+            with pytest.raises(sc.InputError) as info:
+                parse_complex('{"vertices": [1, 2, 3, 4], %s, %s}' % (first, last))
+            assert str(info.value) == "duplicate key 'facets' in a JSON object"
+        with pytest.raises(sc.InputError, match="^duplicate key 'vertices' in a JSON object$"):
+            parse_complex('{"vertices": [1], "vertices": [1, 2], "facets": [[1, 2]]}')
+
     def test_invalid_json_rejected(self):
         with pytest.raises(sc.InputError):
             parse_complex('{"vertices": [1,2,')
@@ -190,6 +205,17 @@ class TestParse:
         assert c.facet_members() == [("1", "2")]
         c = parse_complex("vertices: 1 2 a\n1 a\n")
         assert c.facet_members() == [("1", "a")]
+
+    def test_text_integer_labels_are_ascii_digits_with_an_optional_minus(self):
+        for label in ("1_2", "+1", "\u0663"):  # the last is ARABIC-INDIC DIGIT THREE
+            c = parse_complex("vertices: %s 5\n%s 5\n" % (label, label))
+            assert c.universe.labels == (label, "5")
+        c = parse_complex("vertices: -1 0 01\n-1 0\n0 01\n")
+        assert c.universe.labels == (-1, 0, 1)
+        assert c.facet_members() == [(-1, 0), (0, 1)]
+        # 1_2 is a string label, not a second 12
+        c = parse_complex("vertices: 1_2 12\n1_2\n12\n")
+        assert c.universe.labels == ("1_2", "12")
 
     def test_text_comments_and_blanks(self):
         c = parse_complex("# a triangle\nvertices: 1 2 3\n\n1 2 3\n")
@@ -355,7 +381,7 @@ class TestCli:
         path.write_text('{"vertices":[1,2,3,4], "facets":[[1,2],[3,4]]}')
         for wrong in (lambda c: c.facets, lambda c: c.facets[:1]):
             monkeypatch.setattr("shellcert.cli.find_shelling_order",
-                                lambda c: sc.OrderCertificate(sc.SHELLING, c, wrong(c)))
+                                lambda c: sc.OrderCertificate(c, wrong(c)))
             code, out, err = self.run(["find", "shelling", str(path)], capsys)
             assert (code, out) == (EX_INTERNAL, "")
             assert "internal error" in err and "fails its check" in err

@@ -8,7 +8,7 @@ import shellcert as sc
 from shellcert import homology
 from shellcert.catalog import FIXTURES, dunce_hat, gcd_violator, pentagon_circle, projective_plane
 from shellcert.complexes import VertexSet, _faces_by_size, _first_descent
-from shellcert.homology import rank_gf2, rank_sparse
+from shellcert.homology import _pivots_gf2, _pivots_sparse
 
 from conftest import facet_sets, seeded_complexes, seeded_flag_complexes
 from oracles import (
@@ -38,6 +38,11 @@ class TestFieldSpec:
         for text in ("gf(4)", "gf()", "gf(3", "gfx", "qq", "rational", "rationals"):
             with pytest.raises(sc.InputError):
                 sc.Field.parse(text)
+        # the characteristic is ASCII digits right after gf or inside its brackets
+        for text in ("gf 3", "gf( 7 )", "gf+3", "gf(+7)", "gf3_1", "gf-2", "gf\u0663"):
+            with pytest.raises(sc.InputError) as info:
+                sc.Field.parse(text)
+            assert str(info.value) == "unrecognized field %r (expected gf<p> or q)" % text
 
     def test_nonprime_rejected(self):
         with pytest.raises(sc.InputError):
@@ -70,19 +75,19 @@ def sparse(rows):
 class TestRanks:
     def test_known_small_matrix(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert rank_sparse(sparse(rows), None) == 2
-        assert rank_sparse(sparse(rows), 5) == 2
+        assert len(_pivots_sparse(sparse(rows), None)) == 2
+        assert len(_pivots_sparse(sparse(rows), 5)) == 2
         assert rref_rank(rows) == 2
 
     def test_rank_differs_by_characteristic(self):
         rows = [[2, 0], [0, 1]]
-        assert rank_sparse(sparse(rows), None) == 2
-        assert rank_sparse(sparse(rows), 2) == 1
-        assert rank_sparse(sparse([[3]]), None) == 1
-        assert rank_sparse(sparse([[3]]), 3) == 0
+        assert len(_pivots_sparse(sparse(rows), None)) == 2
+        assert len(_pivots_sparse(sparse(rows), 2)) == 1
+        assert len(_pivots_sparse(sparse([[3]]), None)) == 1
+        assert len(_pivots_sparse(sparse([[3]]), 3)) == 0
         for p in (None, 2, 3):
-            assert rank_sparse([], p) == 0
-            assert rank_sparse([{}, {0: 0, 1: 0}], p) == 0
+            assert len(_pivots_sparse([], p)) == 0
+            assert len(_pivots_sparse([{}, {0: 0, 1: 0}], p)) == 0
 
     def test_against_oracle_on_random_matrices(self):
         rng = random.Random(99)
@@ -90,9 +95,9 @@ class TestRanks:
             m = rng.randint(1, 12)
             n = rng.randint(1, 12)
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-            assert rank_sparse(sparse(rows), None) == rref_rank(rows)
+            assert len(_pivots_sparse(sparse(rows), None)) == rref_rank(rows)
             for p in (2, 3, 7):
-                assert rank_sparse(sparse(rows), p) == rref_rank(rows, p)
+                assert len(_pivots_sparse(sparse(rows), p)) == rref_rank(rows, p)
             cols_gf2 = []
             for j in range(n):
                 v = 0
@@ -100,14 +105,14 @@ class TestRanks:
                     if rows[i][j] % 2:
                         v |= 1 << i
                 cols_gf2.append(v)
-            assert rank_gf2(cols_gf2) == rref_rank(rows, 2)
+            assert len(_pivots_gf2(cols_gf2)) == rref_rank(rows, 2)
 
     def test_bigger_matrices_match_oracle(self):
         rng = random.Random(4)
         for _ in range(3):
             rows = [[rng.randint(-2, 2) for _ in range(60)] for _ in range(50)]
-            assert rank_sparse(sparse(rows), None) == rref_rank(rows)
-            assert rank_sparse(sparse(rows), 2) == rref_rank(rows, 2)
+            assert len(_pivots_sparse(sparse(rows), None)) == rref_rank(rows)
+            assert len(_pivots_sparse(sparse(rows), 2)) == rref_rank(rows, 2)
 
 
 class TestReducedHomology:

@@ -255,32 +255,32 @@ class TestCheckStrongGcd:
 
 
 CHECKS = (
-    (sc.check_shelling_order, sc.SHELLING, lambda c: c.facets),
-    (sc.check_weak_shelling_order, sc.WEAK_SHELLING, lambda c: c.facets),
-    (sc.check_strong_gcd_order, sc.STRONG_GCD, sc.minimal_nonfaces),
+    (sc.check_shelling_order, lambda c: c.facets),
+    (sc.check_weak_shelling_order, lambda c: c.facets),
+    (sc.check_strong_gcd_order, sc.minimal_nonfaces),
 )
 
 
 class TestCertificateOrders:
     """An OrderCertificate is read like any other order: each mask through as_mask."""
 
-    @pytest.mark.parametrize("check, kind, items", CHECKS, ids=("shelling", "weak", "sgcd"))
-    def test_mask_outside_the_universe_rejected(self, check, kind, items):
+    @pytest.mark.parametrize("check, items", CHECKS, ids=("shelling", "weak", "sgcd"))
+    def test_mask_outside_the_universe_rejected(self, check, items):
         c = sc.from_minimal_nonfaces(VertexSet.of(range(1, 7)),
                                      [{1, 2, 3}, {1, 2, 6}, {4, 5, 6}])
         seq = tuple(items(c))
         for bad in (1 << c.universe.n, -1, c.universe.full_mask | 1 << 9):
-            cert = sc.OrderCertificate(kind, c, seq[:-1] + (bad,))
+            cert = sc.OrderCertificate(c, seq[:-1] + (bad,))
             with pytest.raises(sc.InputError, match="outside universe"):
                 check(c, cert)
 
-    @pytest.mark.parametrize("check, kind, items", CHECKS, ids=("shelling", "weak", "sgcd"))
-    def test_certificate_masks_and_labels_give_one_report(self, check, kind, items):
+    @pytest.mark.parametrize("check, items", CHECKS, ids=("shelling", "weak", "sgcd"))
+    def test_certificate_masks_and_labels_give_one_report(self, check, items):
         for name, make in sorted(FIXTURES.items()):
             c = make()
             seq = tuple(items(c))
             for order in (seq, seq[::-1]):
-                cert = sc.OrderCertificate(kind, c, order)
+                cert = sc.OrderCertificate(c, order)
                 rep = check(c, cert)
                 assert rep == check(c, list(order)) == check(c, cert.members()), name
 
@@ -711,7 +711,7 @@ class TestTopCycleRefutation:
         sample = seeded_complexes(400, seed=1996, n_range=(4, 9),
                                   accept=lambda c: c.is_pure and len(c.facets) >= 2)
         for c in fixed + sample:
-            searched = orders._search(c, orders.SHELLING, orders._shelling_moves)
+            searched = orders._search(c, orders._shelling_moves)
             if misses_two(c):  # a flag dual: its shelling comes from the graph, not the search
                 assert_same_existence(c, searched)
             else:
@@ -798,18 +798,18 @@ class TestShellingMasks:
         shelled = on_shellable = 0  # shellable cases, and the carried masks met on them
         for c in cases + [sc.alexander_dual(c) for c in cases + [dunce_hat()]]:
             before = len(carried)
-            cert = orders._search(c, orders.SHELLING, checked)
+            cert = orders._search(c, checked)
             if cert is not None:
                 assert sc.check_shelling_order(c, cert)
                 shelled += 1
                 on_shellable += len(carried) - before
         assert shelled >= 150 and on_shellable > 1000
         before = len(carried)
-        assert orders._search(dunce_hat(), orders.SHELLING, checked) is None
+        assert orders._search(dunce_hat(), checked) is None
         assert len(carried) > before
         monkeypatch.setattr(orders, "NODE_BUDGET", 2000)
         with pytest.raises(sc.Undecided):
-            orders._search(cone_over_star_plus_triangle(21), orders.SHELLING, checked)
+            orders._search(cone_over_star_plus_triangle(21), checked)
         assert len(carried) > 5000
 
 
@@ -843,7 +843,7 @@ class TestFirstDescent:
         for c in cases:
             descent = self.descent(c)
             try:
-                searched = orders._search(c, sc.SHELLING, orders._shelling_moves)
+                searched = orders._search(c, orders._shelling_moves)
             except sc.Undecided:
                 searched = sc.Undecided
             if descent is not None:
@@ -1073,7 +1073,7 @@ class TestFlagDualRefutation:
         decided = 0
         for dual, _ in self.flag_duals():
             try:
-                searched = orders._search(dual, sc.SHELLING, orders._shelling_moves)
+                searched = orders._search(dual, orders._shelling_moves)
             except sc.Undecided:
                 continue
             assert_same_existence(dual, searched)
