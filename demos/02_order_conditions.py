@@ -18,7 +18,8 @@ glued = sc.from_facets(u, [{1, 2, 3}, {3, 4, 5}, {4, 5, 6}])
 print("glued triangles shellable:", sc.find_shelling_order(glued) is not None)
 report = sc.check_shelling_order(glued, list(glued.facets))
 print("  witness: fails at position", report.witness.step,
-      "needing pure dimension", report.witness.required_dim)
+      "needing pure dimension", report.witness.required_dim,
+      "where it meets the earlier facets in", report.witness.intersection)
 
 # weak shelling: only facet pairs covering the whole universe constrain it
 triangle_boundary = sc.from_facets(sc.VertexSet.of(range(1, 4)),

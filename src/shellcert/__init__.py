@@ -42,9 +42,6 @@ from .homology import (
 )
 from .hunt import HuntReport, hunt_counterexample, screen_candidate
 from .orders import (
-    SHELLING,
-    STRONG_GCD,
-    WEAK_SHELLING,
     CheckReport,
     OrderCertificate,
     PairWitness,
@@ -66,7 +63,6 @@ __all__ = [
     "from_facets", "from_minimal_nonfaces", "minimal_nonfaces", "alexander_dual",
     "link", "pure_skeleton", "is_flag", "ChordalCertificate", "chordal_certificate", "all_faces",
     "reduced_euler_characteristic", "restrict_to_support",
-    "SHELLING", "WEAK_SHELLING", "STRONG_GCD",
     "OrderCertificate", "CheckReport", "StepWitness", "PairWitness", "Undecided",
     "check_shelling_order", "check_weak_shelling_order", "check_strong_gcd_order",
     "find_shelling_order", "find_weak_shelling_order", "find_strong_gcd_order",

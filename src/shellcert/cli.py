@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from dataclasses import replace
 
 from . import catalog
 from .complexes import (
@@ -36,9 +35,6 @@ from .generators import random_complex, random_flag_complex
 from .homology import DEFAULT_FIELDS, Field, cm_reports, is_cohen_macaulay, is_sequentially_cm, reduced_homology
 from .hunt import hunt_counterexample
 from .orders import (
-    SHELLING,
-    STRONG_GCD,
-    WEAK_SHELLING,
     check_shelling_order,
     check_strong_gcd_order,
     check_weak_shelling_order,
@@ -55,12 +51,13 @@ EX_UNDECIDED = 3
 EX_INTERNAL = 4
 
 def _conditions() -> dict:
-    """CLI condition name -> (kind, checker, finder), built from this module's
-    names when a command runs, so a replaced name takes effect."""
+    """CLI condition name -> (kind, checker, finder), where the kind is the
+    condition's printed name; built from this module's names when a command
+    runs, so a replaced name takes effect."""
     return {
-        "shelling": (SHELLING, check_shelling_order, find_shelling_order),
-        "weak": (WEAK_SHELLING, check_weak_shelling_order, find_weak_shelling_order),
-        "sgcd": (STRONG_GCD, check_strong_gcd_order, find_strong_gcd_order),
+        "shelling": ("shelling", check_shelling_order, find_shelling_order),
+        "weak": ("weak-shelling", check_weak_shelling_order, find_weak_shelling_order),
+        "sgcd": ("strong-gcd", check_strong_gcd_order, find_strong_gcd_order),
     }
 
 
@@ -115,15 +112,12 @@ def cmd_flag(c, args) -> int:
 
 def cmd_check(c, args) -> int:
     kind, check, _ = _conditions()[args.condition]
-    items = minimal_nonfaces(c) if kind == STRONG_GCD else list(c.facets)
+    items = minimal_nonfaces(c) if args.condition == "sgcd" else list(c.facets)
     rep = check(c, _parse_order(args.order, items))
     if rep.ok:
         print("valid %s order" % kind)
         return EX_OK
-    witness = rep.witness
-    if kind == SHELLING:  # its faces are masks: print their labels
-        witness = replace(witness, intersection=tuple(map(c.universe.members, witness.intersection)))
-    print("invalid %s order: %r" % (kind, witness))
+    print("invalid %s order: %r" % (kind, rep.witness))
     return EX_FAIL
 
 

@@ -361,12 +361,15 @@ class CMWitness:
 
 @dataclass(frozen=True)
 class CMReport:
-    ok: bool
+    """A CM or SCM test's verdict: the complex passes iff there is no witness."""
+
     witness: Optional[CMWitness] = None
     degenerate: Optional[str] = None  # never set; perfbench/workloads.py still reads it
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.witness is None
+
+    ok = property(__bool__)
 
 
 def _cm_witness(universe: VertexSet, faces: Sequence[Sequence[int]],
@@ -449,9 +452,9 @@ def is_cohen_macaulay(c: Complex, field: Field = QQ) -> CMReport:
     if c.is_void:
         raise InputError("Cohen-Macaulayness of the void complex is undefined")
     if c.is_pure and _first_descent(c.facets, c.universe.full_mask) is not None:
-        return CMReport(True)
+        return CMReport()
     w = _cm_witness(c.universe, _faces_by_size(c.facets), field, c.is_pure)
-    return CMReport(w is None, witness=w)
+    return CMReport(w)
 
 
 def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
@@ -477,7 +480,7 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
     if c.is_void:
         raise InputError("sequential Cohen-Macaulayness of the void complex is undefined")
     if _first_descent(c.facets, c.universe.full_mask) is not None:
-        return CMReport(True)
+        return CMReport()
     layers = _faces_by_size(c.facets)
     top = c.dim
     top_faces = layers if c.is_pure else _faces_by_size(layers[top + 1])
@@ -485,8 +488,8 @@ def is_sequentially_cm(c: Complex, field: Field = QQ) -> CMReport:
         faces = top_faces if i == top else _faces_by_size(layers[i + 1])
         w = _cm_witness(c.universe, faces, field, True)
         if w is not None:
-            return CMReport(False, witness=replace(w, skeleton_dim=i))
-    return CMReport(True)
+            return CMReport(replace(w, skeleton_dim=i))
+    return CMReport()
 
 
 def cm_reports(test: Callable, c: Complex, fields: Iterable[Field]) -> Iterator[tuple]:
@@ -503,6 +506,6 @@ def cm_reports(test: Callable, c: Complex, fields: Iterable[Field]) -> Iterator[
     """
     prime_passed = False
     for f in dict.fromkeys(fields):
-        rep = CMReport(True) if f.p is None and prime_passed else test(c, f)
+        rep = CMReport() if f.p is None and prime_passed else test(c, f)
         prime_passed |= rep.ok and f.p is not None
         yield f, rep

@@ -90,15 +90,11 @@ from .complexes import (
 from .homology import GF2, _boundary_rank
 
 __all__ = [
-    "SHELLING",
-    "WEAK_SHELLING",
-    "STRONG_GCD",
     "NODE_BUDGET",
     "OrderCertificate",
     "CheckReport",
     "StepWitness",
     "PairWitness",
-    "Undecided",
     "check_shelling_order",
     "check_weak_shelling_order",
     "check_strong_gcd_order",
@@ -108,10 +104,6 @@ __all__ = [
     "gcd_order_from_dual",
     "is_trivially_weakly_shellable",
 ]
-
-SHELLING = "shelling"
-WEAK_SHELLING = "weak-shelling"
-STRONG_GCD = "strong-gcd"
 
 #: Prefix-sets any one order search may visit before it raises Undecided.
 NODE_BUDGET = 250_000
@@ -131,7 +123,8 @@ class OrderCertificate:
 @dataclass(frozen=True)
 class StepWitness:
     """Shelling failure: position ``step`` whose prefix intersection is not
-    pure of dimension ``required_dim``."""
+    pure of dimension ``required_dim``; ``intersection`` lists its maximal
+    faces as label tuples, in canonical order."""
 
     step: int
     intersection: tuple
@@ -148,11 +141,14 @@ class PairWitness:
 
 @dataclass(frozen=True)
 class CheckReport:
-    ok: bool
+    """An order check's verdict: the order passes iff there is no witness."""
+
     witness: Optional[Union[StepWitness, PairWitness]] = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.witness is None
+
+    ok = property(__bool__)
 
 
 def _as_sequence(c: Complex, order, expected: Sequence[int], what: str) -> tuple:
@@ -172,7 +168,8 @@ def check_shelling_order(c: Complex, order) -> CheckReport:
     Position j passes when every maximal element of {F_j & F_i : i < j} has
     |F_j| - 1 elements: those elements are the facets of <F_j> intersected
     with <F_0, ..., F_{j-1}>, which must be pure of dimension dim F_j - 1.
-    The witness of the first failing position lists them in canonical order.
+    The witness of the first failing position lists them, as label tuples,
+    in canonical order.
     """
     seq = _as_sequence(c, order, c.facets, "facets")
     for j in range(1, len(seq)):
@@ -180,8 +177,9 @@ def check_shelling_order(c: Complex, order) -> CheckReport:
         need = F.bit_count() - 1
         inter = _maximal([F & G for G in seq[:j]])
         if any(m.bit_count() != need for m in inter):
-            return CheckReport(False, StepWitness(j, _canonical(inter), need - 1))
-    return CheckReport(True)
+            faces = tuple(map(c.universe.members, _canonical(inter)))
+            return CheckReport(StepWitness(j, faces, need - 1))
+    return CheckReport()
 
 
 def check_weak_shelling_order(c: Complex, order) -> CheckReport:
@@ -194,8 +192,8 @@ def check_weak_shelling_order(c: Complex, order) -> CheckReport:
                 continue
             both = seq[i] & seq[j]
             if not any(k != i and both & ~seq[k] == 0 for k in range(j)):
-                return CheckReport(False, PairWitness(i, j))
-    return CheckReport(True)
+                return CheckReport(PairWitness(i, j))
+    return CheckReport()
 
 
 def check_strong_gcd_order(c: Complex, order) -> CheckReport:
@@ -215,8 +213,8 @@ def check_strong_gcd_order(c: Complex, order) -> CheckReport:
                 if not x & outside and x != b:
                     break
             else:
-                return CheckReport(False, PairWitness(i, j))
-    return CheckReport(True)
+                return CheckReport(PairWitness(i, j))
+    return CheckReport()
 
 
 def is_trivially_weakly_shellable(c: Complex) -> bool:

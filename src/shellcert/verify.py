@@ -56,7 +56,7 @@ def _claims():
     def dual_cm_witness():
         for f in (GF2, QQ):
             rep = is_cohen_macaulay(wd, f)
-            if rep.ok or rep.witness is None:
+            if rep.ok:
                 return False, "unexpectedly Cohen-Macaulay over %s" % f
             if rep.witness.face != (3,) or rep.witness.degree != 0 or rep.witness.rank != 1:
                 return False, repr(rep.witness)

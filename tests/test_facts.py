@@ -268,7 +268,8 @@ class TestShellingCertificate:
 
     def test_rejected_order_is_a_conflict(self, monkeypatch):
         # the theorem makes every such order a strong gcd-order, so a rejection is a bug
-        monkeypatch.setattr(facts, "check_strong_gcd_order", lambda c, order: sc.CheckReport(False))
+        rejected = sc.CheckReport(sc.PairWitness(0, 1))
+        monkeypatch.setattr(facts, "check_strong_gcd_order", lambda c, order: rejected)
         searched = counting(monkeypatch, "find_strong_gcd_order")
         with pytest.raises(FactConflict):
             build_fact_table(catalog.FIXTURES["gcd-violator-dual"]())

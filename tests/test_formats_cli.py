@@ -316,6 +316,30 @@ class TestCli:
         assert (code, out) == (EX_FAIL, "invalid shelling order: "
                                "StepWitness(step=1, intersection=(('c',),), required_dim=1)\n")
 
+    def test_check_prints_the_library_witness(self, capsys, tmp_path):
+        # the reversed canonical facet and non-face orders of the CI transcript's
+        # sources: the CLI prints the checker's verdict and witness as returned
+        path = tmp_path / "labelled.txt"
+        path.write_text("vertices: a b c d e f\na b c\nc d\nd e f\nb e\na f\n")
+        sources = [(["--fixture", name], make()) for name, make in catalog.FIXTURES.items()]
+        sources.append(([str(path)], parse_complex(path.read_text())))
+        conditions = {"shelling": ("shelling", sc.check_shelling_order),
+                      "weak": ("weak-shelling", sc.check_weak_shelling_order),
+                      "sgcd": ("strong-gcd", sc.check_strong_gcd_order)}
+        failed = 0
+        for where, c in sources:
+            for condition, (kind, check) in conditions.items():
+                items = sc.minimal_nonfaces(c) if condition == "sgcd" else c.facets
+                rep = check(c, list(reversed(items)))
+                order = ",".join(map(str, reversed(range(len(items)))))
+                code, out, _ = self.run(["check", condition, "--order", order, *where], capsys)
+                if rep.witness is None:
+                    assert (code, out) == (EX_OK, "valid %s order\n" % kind)
+                else:
+                    assert (code, out) == (EX_FAIL, "invalid %s order: %r\n" % (kind, rep.witness))
+                    failed += 1
+        assert 0 < failed < 3 * len(sources)
+
     def test_check_bad_order_is_input_error(self, capsys):
         code, _, err = self.run(
             ["check", "sgcd", "--order", "0,0,1", "--fixture", "strong-gcd-witness"], capsys)
@@ -501,7 +525,8 @@ class TestCli:
 
     def test_table_rejected_gcd_order_is_an_internal_error(self, capsys, monkeypatch):
         # the dual's shelling always maps to a strong gcd-order, so a rejection is a bug
-        monkeypatch.setattr("shellcert.facts.check_strong_gcd_order", lambda c, order: sc.CheckReport(False))
+        rejected = sc.CheckReport(sc.PairWitness(0, 1))
+        monkeypatch.setattr("shellcert.facts.check_strong_gcd_order", lambda c, order: rejected)
         code, out, err = self.run(["table", "--fixture", "gcd-violator-dual"], capsys)
         assert (code, out) == (EX_INTERNAL, "")
         assert "FactConflict" in err

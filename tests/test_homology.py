@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -392,6 +393,21 @@ def test_sequentially_cm_matches_the_restriction_side_oracle():
     assert checked >= 300 and failing >= 40
 
 
+class TestCMReport:
+    def test_fields_are_the_witness_and_degenerate(self):
+        assert [f.name for f in dataclasses.fields(sc.CMReport)] == ["witness", "degenerate"]
+
+    def test_a_report_passes_iff_it_has_no_witness(self):
+        verdicts = set()
+        for c in (make() for make in FIXTURES.values()):
+            for test in (sc.is_cohen_macaulay, sc.is_sequentially_cm):
+                for f in (sc.GF2, sc.QQ):
+                    rep = test(c, f)
+                    assert bool(rep) == rep.ok == (rep.witness is None)
+                    verdicts.add(rep.ok)
+        assert verdicts == {True, False}
+
+
 class TestCMReports:
     """``cm_reports``: each field swept once, Q skipped after a passing prime."""
 
@@ -623,8 +639,8 @@ class TestShellingCertificate:
         inputs += [sc.pure_skeleton(simplex, i) for i in range(6)]
         for c in inputs:
             for f, _ in ORACLE_FIELDS:
-                assert sc.is_cohen_macaulay(c, f) == sc.CMReport(True)
-                assert sc.is_sequentially_cm(c, f) == sc.CMReport(True)
+                assert sc.is_cohen_macaulay(c, f) == sc.CMReport()
+                assert sc.is_sequentially_cm(c, f) == sc.CMReport()
 
     def test_nonpure_descent_certifies_only_sequential_cm(self):
         # these shell, but a Cohen-Macaulay complex is pure

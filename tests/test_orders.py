@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -28,8 +29,10 @@ def cx0(n, facets):
     return sc.from_facets(VertexSet.of(range(n)), facets)
 
 
-def canonical_masks(c, sets):
-    return tuple(sorted((c.universe.mask(s) for s in sets), key=lambda m: (m.bit_count(), m)))
+def canonical_labels(c, sets):
+    """The faces *sets* as label tuples, in canonical order (by size, then by bitmask)."""
+    masks = sorted((c.universe.mask(s) for s in sets), key=lambda m: (m.bit_count(), m))
+    return tuple(map(c.universe.members, masks))
 
 
 def oracle_report(c, order):
@@ -37,14 +40,14 @@ def oracle_report(c, order):
     sets = [c.universe.members(F) for F in order]
     failure = brute_shelling_failure(sets)
     if failure is None:
-        return sc.CheckReport(True)
+        return sc.CheckReport()
     j, tops = failure
-    return sc.CheckReport(False, sc.StepWitness(j, canonical_masks(c, tops), len(sets[j]) - 2))
+    return sc.CheckReport(sc.StepWitness(j, canonical_labels(c, tops), len(sets[j]) - 2))
 
 
 def pair_report(failure):
     """The CheckReport a pair validator owes an order whose oracle gave ``failure``."""
-    return sc.CheckReport(True) if failure is None else sc.CheckReport(False, sc.PairWitness(*failure))
+    return sc.CheckReport() if failure is None else sc.CheckReport(sc.PairWitness(*failure))
 
 
 def weak_oracle_report(c, order):
@@ -68,6 +71,23 @@ def found_swapped_shuffled(cases, find, items, rng):
             yield c, order
 
 
+class TestCheckReport:
+    def test_the_witness_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(sc.CheckReport)] == ["witness"]
+
+    def test_a_report_passes_iff_it_has_no_witness(self):
+        # the fixtures' reversed canonical facet and non-face orders, as the CLI transcript checks them
+        verdicts = set()
+        for c in (make() for make in FIXTURES.values()):
+            for check, items in ((sc.check_shelling_order, c.facets),
+                                 (sc.check_weak_shelling_order, c.facets),
+                                 (sc.check_strong_gcd_order, sc.minimal_nonfaces(c))):
+                rep = check(c, list(reversed(items)))
+                assert bool(rep) == rep.ok == (rep.witness is None)
+                verdicts.add(rep.ok)
+        assert verdicts == {True, False}
+
+
 class TestCheckShelling:
     def test_two_triangles_valid(self):
         c = cx(4, [{1, 2, 3}, {2, 3, 4}])
@@ -79,7 +99,7 @@ class TestCheckShelling:
             rep = sc.check_shelling_order(c, p)
             assert not rep.ok
             assert rep.witness.step == 1
-            assert rep.witness.intersection == (0,)
+            assert rep.witness.intersection == ((),)
             assert rep.witness.required_dim == 0
 
     def test_nonpure_valid_shelling(self):
@@ -100,10 +120,10 @@ class TestCheckShelling:
                 continue
             j = rep.witness.step
             _, tops = brute_shelling_failure([c.universe.members(F) for F in p[:j + 1]])
-            assert rep.witness.intersection == canonical_masks(c, tops)
+            assert rep.witness.intersection == canonical_labels(c, tops)
             need = p[j].bit_count() - 2
             assert rep.witness.required_dim == need
-            assert any(m.bit_count() - 1 != need for m in rep.witness.intersection)
+            assert any(len(m) - 1 != need for m in rep.witness.intersection)
 
     def test_reports_match_oracle_on_seeded_orders(self):
         rng = random.Random(5150)
@@ -157,7 +177,7 @@ class TestCheckShelling:
         order = first + [F for F in c.facets if F & high == F]
         order += [F for F in c.facets if F not in order]
         rep = sc.check_shelling_order(c, order)
-        assert rep == sc.CheckReport(False, sc.StepWitness(len(first), (0,), 0))
+        assert rep == sc.CheckReport(sc.StepWitness(len(first), ((),), 0))
 
     def test_builds_no_complex(self, monkeypatch):
         c = cx(5, [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {1, 5}])
