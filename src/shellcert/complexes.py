@@ -13,7 +13,6 @@ single facet ``{}`` (``dim == -1``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -321,7 +320,8 @@ def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
 
     The complex is the dual of the one whose facets are the complements of
     the non-faces, since a complex is the dual of its dual; so its facets are
-    computed as every dual's are.
+    computed as every dual's are.  A singleton non-face {v} makes v a ghost
+    vertex of the result, which is a complex like any other.
     """
     masks = [universe.as_mask(f) for f in nonfaces]
     if len(set(masks)) != len(masks):
@@ -340,8 +340,6 @@ def from_minimal_nonfaces(universe: VertexSet, nonfaces: Iterable) -> Complex:
                 "non-faces must form an antichain: {%s} contains {%s}"
                 % (",".join(map(str, universe.members(b))), ",".join(map(str, universe.members(a))))
             )
-    if any(m.bit_count() == 1 for m in masks):
-        warnings.warn("singleton non-face: the resulting complex has a ghost vertex", stacklevel=2)
     return alexander_dual(Complex(universe, _canonical(universe.full_mask ^ a for a in masks)))
 
 

@@ -166,13 +166,7 @@ class TestFromMinimalNonfaces:
         for c in seeded_complexes(60, seed=5150, n_range=(2, 7)):
             if c.is_void:
                 continue
-            nf = sc.minimal_nonfaces(c)
-            back = sc.from_minimal_nonfaces(c.universe, nf) if all(
-                m.bit_count() >= 2 for m in nf) else None
-            if back is None:
-                with pytest.warns(UserWarning):
-                    back = sc.from_minimal_nonfaces(c.universe, nf)
-            assert back == c
+            assert sc.from_minimal_nonfaces(c.universe, sc.minimal_nonfaces(c)) == c
 
     def test_no_nonfaces_gives_full_simplex(self):
         u = VertexSet.of(range(1, 5))
@@ -197,9 +191,10 @@ class TestFromMinimalNonfaces:
         with pytest.raises(sc.InputError):
             sc.from_minimal_nonfaces(u, [{1, 2}, {1, 2, 3}])
 
-    def test_singleton_warns(self):
+    def test_singleton_gives_a_ghost_vertex_without_a_warning(self):
         u = VertexSet.of(range(1, 4))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             c = sc.from_minimal_nonfaces(u, [{1}])
         assert c.has_ghost_vertices
 
@@ -242,9 +237,9 @@ def seeded_mask_families(count, seed):
 
 def assert_validation_matches_the_double_loop(masks):
     """from_minimal_nonfaces on a 64-vertex universe raises the message
-    ``oracles.pairwise_nonface_error`` gives, or warns about a singleton
-    exactly as before; returns the message.  Only the validation is under
-    test, so the dualiser is stubbed out."""
+    ``oracles.pairwise_nonface_error`` gives, and warns about nothing, a
+    singleton non-face included; returns the message.  Only the validation
+    is under test, so the dualiser is stubbed out."""
     u = VertexSet.of(range(100, 164))
     expected = pairwise_nonface_error(u, masks)
     got = None
@@ -256,11 +251,7 @@ def assert_validation_matches_the_double_loop(masks):
         except sc.InputError as e:
             got = str(e)
     assert got == expected
-    if expected is None and any(m.bit_count() == 1 for m in masks):
-        assert [(w.category, str(w.message), w.filename) for w in caught] == [
-            (UserWarning, "singleton non-face: the resulting complex has a ghost vertex", __file__)]
-    else:
-        assert caught == []
+    assert caught == []
     return got
 
 
@@ -479,7 +470,7 @@ def test_maximal_helper_on_seeded_families():
 @example([0b10, 0, 0b11])  # an earlier non-face's antichain error comes first
 @example([0b11, 0b101, 0b1])  # a is the last one: reported against the first b above it
 @example([0b1, 0b1])
-@example([0b1, 0b10])     # two singletons: one warning
+@example([0b1, 0b10])     # two singletons: no warning
 def test_nonface_validation_matches_the_double_loop(masks):
     assert_validation_matches_the_double_loop(masks)
 

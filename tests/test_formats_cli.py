@@ -258,6 +258,18 @@ def test_python_m_runs_from_checkout():
     assert "Q: yes" in proc.stdout
 
 
+def test_a_singleton_nonface_is_answered_with_nothing_on_stderr(tmp_path):
+    # a singleton non-face makes a ghost vertex, which every command answers:
+    # the process prints its answer and no Python warning
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / "ghost.txt"
+    path.write_text("vertices: a b c d\nnonfaces\na\nb c\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "shellcert", "nonfaces", str(path)],
+                          env=env, cwd=root, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EX_OK, "a\nb c\n", "")
+
+
 class TestCli:
     def run(self, argv, capsys):
         code = main(argv)
@@ -724,7 +736,6 @@ def run_searcher(argv):
     return code
 
 
-@pytest.mark.filterwarnings("ignore:singleton non-face")
 class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(DOCUMENTS)

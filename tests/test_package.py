@@ -1,6 +1,7 @@
-"""Package-wide properties: no state outlives a call, no environment variable
-changes behaviour, no function calls itself, no module imports a name it
-never reads, the layers above duality and search use only the public API,
+"""Package-wide properties: the package exports each module's public names,
+no state outlives a call, no environment variable changes behaviour, no
+function calls itself, no module imports a name it never reads, the layers
+above duality and search use only the public API,
 the README names every fixture and shows true values in its Library block,
 and the benchmark's own corruption checks still run."""
 
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import shellcert
+from shellcert import complexes, facts, generators, homology, hunt, orders
 from shellcert.catalog import FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,6 +24,15 @@ def _submodules():
     for info in pkgutil.walk_packages(shellcert.__path__, "shellcert."):
         if info.name != "shellcert.__main__":  # importing it runs the CLI
             yield importlib.import_module(info.name)
+
+
+def test_the_package_exports_each_modules_public_names():
+    # each module's __all__ is the one list of its public names: the package
+    # re-exports them in import order, once each, as the module's own objects
+    modules = [complexes, facts, generators, homology, hunt, orders]
+    assert shellcert.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert len(set(shellcert.__all__)) == len(shellcert.__all__)
+    assert [n for m in modules for n in m.__all__ if getattr(shellcert, n) is not getattr(m, n)] == []
 
 
 def test_no_module_level_cache():
@@ -77,17 +88,28 @@ def test_upper_layers_use_only_public_names():
 
 
 def test_no_unused_import():
-    # an import that nothing reads is dead weight and hides the real dependencies
+    # an import that nothing reads is dead weight and hides the real dependencies;
+    # a star import is read only in __init__.py, where `__all__ += m.__all__`
+    # re-exports what `from .m import *` binds
     unused = []
     for path in sorted((ROOT / "src" / "shellcert").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        reexported = set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 read |= set(ast.literal_eval(node.value))
+            if (path.name == "__init__.py" and isinstance(node, ast.AugAssign)
+                    and getattr(node.target, "id", None) == "__all__"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "__all__"):
+                reexported.add(getattr(node.value.value, "id", None))
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 for alias in node.names:
+                    if alias.name == "*":
+                        if not (node.level == 1 and node.module in reexported):
+                            unused.append("%s: %s.*" % (path.name, node.module))
+                        continue
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append("%s: %s" % (path.name, name))
