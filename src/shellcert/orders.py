@@ -201,6 +201,12 @@ def check_strong_gcd_order(c: Complex, order) -> CheckReport:
 
     The filling index k for a disjoint pair i < j ranges over every position
     after i other than j itself, including positions after j.
+
+    A rejection PairWitness(i, j) rejects every order that shares the first
+    i entries of this one.  In such an order N_i and N_j both come after
+    those entries.  Whichever of the two comes first pairs with the other,
+    and every other non-face after it is one of N_{i+1}, ..., N_{r-1} other
+    than N_j, none of which lies in N_i | N_j; so that pair fails too.
     """
     seq = _as_sequence(c, order, minimal_nonfaces(c), "minimal non-faces")
     for i, a in enumerate(seq):

@@ -447,6 +447,25 @@ class TestStrongGcdCheck:
             failed += not rep.ok
         assert orders >= 1000 and 100 <= failed <= orders - 100
 
+    def test_a_rejection_rejects_every_order_sharing_the_first_i_entries(self):
+        # the lemma in check_strong_gcd_order's docstring, judged by the oracle
+        shared = passing = 0
+        for c in seeded_complexes(300, seed=1996, n_range=(4, 8),
+                                  accept=lambda c: 2 <= len(sc.minimal_nonfaces(c)) <= 5):
+            perms = list(permutations(sc.minimal_nonfaces(c)))
+            passes = [q for q in perms
+                      if brute_strong_gcd_failure([c.universe.members(N) for N in q]) is None]
+            passing += len(passes)
+            for p in perms:
+                rep = sc.check_strong_gcd_order(c, p)
+                if rep:
+                    continue
+                prefix = p[:rep.witness.i]
+                assert not any(q[:len(prefix)] == prefix for q in passes), (c, p, rep)
+                shared += passes != [] and len(prefix) < len(p) - 1
+        # rejected prefixes with more than one completion, on complexes with a passing order
+        assert passing > 0 and shared > 100
+
     def test_seeded_orders_match_the_triple_loop(self):
         rng = random.Random(8128)
         oks = set()

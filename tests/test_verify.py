@@ -1,7 +1,14 @@
+from collections import Counter
+from itertools import permutations
+
+import pytest
+
 import shellcert as sc
 from shellcert import catalog, verify
 from shellcert.cli import EX_FAIL, main
 from shellcert.verify import ClaimResult, run_claims
+
+from conftest import seeded_complexes
 
 
 def test_all_claims_pass():
@@ -25,6 +32,59 @@ def test_a_crashing_claim_fails_and_the_next_still_runs(monkeypatch, capsys):
     assert main(["verify-paper"]) == EX_FAIL
     assert capsys.readouterr().out == (
         "[FAIL] crashes (error: ValueError('boom'))\n[PASS] passes\n1/2 claims passed\n")
+
+
+def test_the_prefix_walk_agrees_with_checking_every_order():
+    verdicts = Counter()
+    for c in seeded_complexes(400, seed=36, n_range=(4, 8),
+                              accept=lambda c: 2 <= len(sc.minimal_nonfaces(c)) <= 6):
+        nf = sc.minimal_nonfaces(c)
+        naive = not any(sc.check_strong_gcd_order(c, p) for p in permutations(nf))
+        assert verify._no_strong_gcd_order(c) == naive
+        verdicts[naive, len(nf)] += 1
+    # both verdicts at every count from 2 to 6 non-faces
+    assert set(verdicts) == {(v, r) for v in (True, False) for r in range(2, 7)}
+    assert verify._no_strong_gcd_order(catalog.gcd_violator())
+    assert not verify._no_strong_gcd_order(catalog.strong_gcd_witness())
+
+
+def test_the_prefix_walk_covers_all_720_orders_with_fewer_checks(monkeypatch):
+    checked = []
+
+    def recording(c, order):
+        rep = sc.check_strong_gcd_order(c, order)
+        checked.append((tuple(order), rep.witness))
+        return rep
+
+    monkeypatch.setattr(verify, "check_strong_gcd_order", recording)
+    c = catalog.gcd_violator()
+    assert verify._no_strong_gcd_order(c)
+    # 30 distinct orders, as the verify and catalog docstrings and the README say
+    assert len({order for order, _ in checked}) == len(checked) == 30
+    # every order shares its first i entries with a checked order rejected at (i, j)
+    covered = {p for p in permutations(sc.minimal_nonfaces(c))
+               if any(p[:w.i] == order[:w.i] for order, w in checked)}
+    assert len(covered) == 720
+
+
+def test_a_witness_that_is_not_a_failing_pair_fails_the_claim(monkeypatch):
+    # negative control: the first two canonical non-faces of gcd-violator meet, so
+    # (0, 1) is no failing pair there, and trusting it would prune every order
+    bogus = sc.CheckReport(sc.PairWitness(0, 1))
+    monkeypatch.setattr(verify, "check_strong_gcd_order", lambda c, order: bogus)
+    claim, = [r for r in run_claims() if r.name.startswith("gcd-violator: no strong gcd-order")]
+    assert not claim.passed and claim.detail.startswith("error: ValueError(")
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 0), (-1, 2), (0, 3)])
+def test_a_wrong_witness_raises_rather_than_hiding_an_order(monkeypatch, i, j):
+    # the canonical non-faces of the gcd witness are {1,2,3}, {1,2,6}, {4,5,6}: (0, 1) meet,
+    # {1,2,6} fills (0, 2), and the rest name no two of the three positions with i < j
+    c = catalog.strong_gcd_witness()
+    monkeypatch.setattr(verify, "check_strong_gcd_order",
+                        lambda c, order: sc.CheckReport(sc.PairWitness(i, j)))
+    with pytest.raises(ValueError, match="not a failing pair"):
+        verify._no_strong_gcd_order(c)
 
 
 def test_reversed_nonface_order_reports_witness():
